@@ -17,7 +17,7 @@ from .hadamard import (AdderSpec, EstimatorMode, GTermKind, adder_gates,
                        gterm_oracle, noisy_expectation)
 from .noise import (DeviceCalibration, GateDurations, NoiseModel,
                     QubitCalibration, amplitude_damping, builtin_profiles,
-                    dephasing, load_calibration_csv, model_from_calibration)
+                    dephasing, load_calibration_csv)
 from .sgeo import (FitResult, OptimizeResult, SweepConfig, TraceEntry,
                    fit_initial_state, optimize_step, reconstruct_bracket,
                    reconstruct_cost, reconstruction_coeffs)
@@ -25,6 +25,6 @@ from .simulator import (ShotConfig, ancilla_expectation_z, density_expectation_z
                         run_density, run_statevector, sample_expectation_z,
                         sample_from_expectation)
 from .transpile import (BasisTarget, GateCountReport, count_report, decompose,
-                        equivalent_up_to_phase, permuted_amps, route_linear)
+                        equivalent_up_to_phase, permuted_amps)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -255,23 +255,6 @@ def target_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
     raise UnsupportedGateError(f"no target matrix for {gate.value}")
 
 
-def unitary_of(gate: Gate, params: tuple[float, ...] = ()) -> np.ndarray:
-    """Exact 2x2 or 4x4 unitary of a 1- or 2-qubit primitive.
-
-    Controlled kinds (cnot, cz, cry, cu_alt) return the 4x4 form with the
-    control as the more significant qubit.  Multi-controlled gates have no
-    fixed matrix here and raise.
-    """
-    if gate is Gate.MCX:
-        raise UnsupportedGateError("mcx is expanded, not matrix-valued")
-    base = target_matrix(gate, params)
-    if gate.base_controls == 1:
-        u = np.eye(4, dtype=complex)
-        u[2:, 2:] = base
-        return u
-    return base
-
-
 def gate_unitary(inst: GateInstance) -> np.ndarray:
     """Full unitary of an instance over its touched qubits (controls first)."""
     base = target_matrix(inst.gate, inst.params)

@@ -37,7 +37,7 @@ from .circuit import CircuitError, parse_circuit, serialize_circuit
 from .elision import (NotHadamardForm, detect_hadamard_form,
                       elide_ancilla_controls, statevector_deviation)
 from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
-from .noise import builtin_profiles, load_calibration_csv, model_from_calibration
+from .noise import NoiseModel, builtin_profiles, load_calibration_csv
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
 from .transpile import BasisTarget, count_report
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     sigma: float = 0.3
     fit_threshold: float = 1e-4
     fit_restarts: int = 8
-    grid_points: int = 64
     sweeps: int = 10
     tol: float | None = None          # 1e-8 exact, 1e-4 noisy; unused with shots
     shots: int | None = None
@@ -119,6 +118,8 @@ def _load_config(path: str | None) -> dict:
 
 
 _ENUM_FIELDS = {"variant": Variant, "head": Head, "basis": BasisTarget}
+# n_max >= 3 because gatecount's table starts at n=3
+_LOWER_BOUNDS = {"steps": 0, "sweeps": 1, "shots": 1, "n_max": 3}
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -143,6 +144,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if key == "snapshots":
             value = tuple(float(v) for v in value)
         setattr(cfg, key, value)
+    for key, low in _LOWER_BOUNDS.items():
+        value = getattr(cfg, key)
+        if value is not None and value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
+    if cfg.sigma <= 0:
+        raise ConfigError(f"sigma must be > 0, got {cfg.sigma}")
     try:
         cfg.grid()
         cfg.ansatz()
@@ -171,7 +178,7 @@ def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
         basis = cfg.basis
         if basis is None:
             basis = BasisTarget.ION if cal.all_to_all else BasisTarget.SC
-        model = model_from_calibration(cal, cfg.recipe)
+        model = NoiseModel(cal, cfg.recipe)
         mode = EstimatorMode(shots=cfg.shots, noise=model, basis=basis, rng=rng)
     elif cfg.shots:
         mode = EstimatorMode(shots=cfg.shots, rng=rng)
@@ -228,7 +235,7 @@ def cmd_fit(args) -> int:
     grid = cfg.grid()
     spec = cfg.ansatz()
     ic = initial_condition_gaussian(grid, cfg.sigma)
-    sweep = SweepConfig(cfg.grid_points, max(cfg.sweeps, 40), cfg.resolved_tol(False))
+    sweep = SweepConfig(max(cfg.sweeps, 40), cfg.resolved_tol(False))
     result = fit_initial_state(ic.psi, spec, sweep, threshold=cfg.fit_threshold,
                                restarts=cfg.fit_restarts, seed=cfg.seed)
     out = cfg.out
@@ -253,7 +260,7 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
     t_start = time.time()
     ic = initial_condition_gaussian(grid, cfg.sigma)
     fit = fit_initial_state(ic.psi, spec,
-                            SweepConfig(cfg.grid_points, 40, cfg.resolved_tol(False)),
+                            SweepConfig(40, cfg.resolved_tol(False)),
                             threshold=cfg.fit_threshold,
                             restarts=cfg.fit_restarts, seed=cfg.seed)
     params = fit.params
@@ -262,8 +269,7 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
     classical = classical_trajectory(grid, ic.velocity, cfg.steps)
 
     stochastic = mode.shots is not None or mode.noise is not None
-    sweep = SweepConfig(cfg.grid_points, cfg.sweeps,
-                        cfg.resolved_tol(stochastic), mode)
+    sweep = SweepConfig(cfg.sweeps, cfg.resolved_tol(stochastic), mode)
     series = []
     traces = []
     snapshots = {}

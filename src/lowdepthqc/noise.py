@@ -44,7 +44,6 @@ class DeviceCalibration:
     pair_errors: dict = field(default_factory=dict)
     all_to_all: bool = False
     default_2q_error: float | None = None
-    extra_pair_errors: dict = field(default_factory=dict)  # alternate 2q gate
 
     def __post_init__(self):
         for q in self.qubits:
@@ -279,11 +278,6 @@ class NoiseModel:
         return np.array([[1 - p10, p01], [p10, 1 - p01]])
 
 
-def model_from_calibration(cal: DeviceCalibration, recipe: str = "depol_only",
-                           durations: GateDurations | None = None) -> NoiseModel:
-    return NoiseModel(cal, recipe, durations)
-
-
 # ---------------------------------------------------------------------------
 # Built-in profiles
 # ---------------------------------------------------------------------------
@@ -326,14 +320,10 @@ def builtin_profiles() -> dict[str, DeviceCalibration]:
                      (4, 3): 4.79e-3, (5, 4): 3.88e-3, (6, 5): 71.81e-3,
                      (7, 6): 100.96e-3},
     )
-    # The CZ column doubles as the generic entangler error; the RZZ
-    # figures are kept alongside for completeness.
+    # The CZ column doubles as the generic entangler error.
     kingston_cz = {(0, 1): 2.08e-3, (1, 2): 2.42e-3, (2, 3): 2.52e-3,
                    (3, 4): 2.13e-3, (4, 5): 1.48e-3, (5, 6): 1.46e-3,
                    (6, 7): 6.98e-3}
-    kingston_rzz = {(0, 1): 2.09e-3, (1, 2): 3.62e-3, (2, 3): 4.07e-3,
-                    (3, 4): 1.88e-3, (4, 5): 2.60e-3, (5, 6): 3.45e-3,
-                    (6, 7): 8.57e-3}
     kingston = DeviceCalibration(
         name="ibm-kingston",
         qubits=(
@@ -347,7 +337,6 @@ def builtin_profiles() -> dict[str, DeviceCalibration]:
             _q(351.20, 194.05, 3.32, 2.34, 2.70),
         ),
         pair_errors=kingston_cz,
-        extra_pair_errors=kingston_rzz,
     )
     ibex = DeviceCalibration(
         name="aqt-ibex",

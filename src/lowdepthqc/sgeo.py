@@ -11,9 +11,11 @@ parameter is determined by its values at the three bindings
 with c0 = (1 + cos(l/2) - sin(l/2))/2, cpi = sin(l/2) and
 c2pi = (1 - cos(l/2) - sin(l/2))/2.  Fifteen circuit estimates per
 parameter (the five estimator families at each of the three bindings)
-therefore buy the whole 1-D cost slice in closed form; the argmin over a
-dense angle grid (plus a free analytic refinement) costs no further
-quantum evaluations.
+therefore buy the whole 1-D cost slice in closed form.  Its optimum is
+closed-form too, as in Rotosolve and NFT: the slice is
+a + b cos(l/2) + c sin(l/2), so the optimum over the domain
+[-pi - pi/32, pi] lies at 2 atan2(c, b), one of its antipodes or an
+endpoint, and costs no further quantum evaluations.
 
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
@@ -67,14 +69,11 @@ def reconstruct_cost(bundle: GTermBundle, lam: float) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    grid_points: int = 64
     sweeps: int = 10
     tol: float = 1e-8
     mode: EstimatorMode = field(default_factory=EstimatorMode.exact)
 
     def __post_init__(self):
-        if self.grid_points < 8:
-            raise ValueError(f"need grid_points >= 8, got {self.grid_points}")
         if self.sweeps < 1:
             raise ValueError(f"need sweeps >= 1, got {self.sweeps}")
 
@@ -95,48 +94,41 @@ class OptimizeResult:
     trace: tuple[TraceEntry, ...]
 
 
-def _grid_angles(points: int) -> np.ndarray:
-    return np.linspace(-math.pi, math.pi, points, endpoint=False)
+# The lambda domain of every coordinate update.  It reaches pi/32 below
+# -pi because the former 64-point grid search did: its refinement cell
+# around the first grid point spanned one grid step (2 pi/64) below it.
+# The acceptance verdicts depend on this reach; [-pi, pi] turns criterion
+# 8 to FAIL and the full 4 pi period turns criterion 4 to FAIL.
+_LAMBDA_DOMAIN = (-math.pi - math.pi / 32, math.pi)
 
 
-def _refine_argmin(sums: tuple[float, float, float], angles: np.ndarray,
+def _slice_optimum(sums: tuple[float, float, float],
                    sign: float | None = None) -> tuple[float, float]:
-    """Grid argmin of -S(lambda)^2, then golden-section inside the best cell.
+    """Closed-form optimum of the slice over ``_LAMBDA_DOMAIN``.
 
-    With ``sign`` the search instead maximizes sign * S(lambda), which
-    keeps the bracket on that sign's branch.  Either way the returned
-    cost is -S^2 at the chosen angle.  Works purely on the closed-form
-    reconstruction, so refinement is free.
+    S(l) = a + b cos(l/2) + c sin(l/2) with a = (S0 + S2pi)/2,
+    b = (S0 - S2pi)/2 and c = Spi - a, so the extrema of S are at
+    l = 2 atan2(c, b) and its antipodes l -/+ 2 pi; those inside the
+    domain and the two endpoints are the only candidates.  Maximizes
+    S^2, or sign * S with ``sign``, which keeps the bracket on that
+    sign's branch.  Either way the returned cost is -S^2.
     """
-    if sign is None:
-        def cost(lam: float) -> float:
-            s = _slice_bracket(sums, lam)
-            return -s * s
-    else:
-        def cost(lam: float) -> float:
-            return -sign * _slice_bracket(sums, lam)
+    s0, spi, s2pi = sums
+    a = (s0 + s2pi) / 2
+    b = (s0 - s2pi) / 2
+    c = spi - a
+    peak = 2 * math.atan2(c, b)
+    lo, hi = _LAMBDA_DOMAIN
+    candidates = [lam for lam in (peak - 2 * math.pi, peak, peak + 2 * math.pi)
+                  if lo <= lam <= hi] + [lo, hi]
 
-    values = np.array([cost(a) for a in angles])
-    k = int(np.argmin(values))
-    step = angles[1] - angles[0]
-    lo, hi = angles[k] - step, angles[k] + step
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = cost(x1), cost(x2)
-    for _ in range(40):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = cost(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = cost(x2)
-    best = x1 if f1 <= f2 else x2
+    def objective(lam: float) -> float:
+        s = a + b * math.cos(lam / 2) + c * math.sin(lam / 2)
+        return s * s if sign is None else sign * s
+
+    best = max(candidates, key=objective)
     s = _slice_bracket(sums, best)
-    return float(best), float(-s * s)
+    return best, -s * s
 
 
 def _best_of_last(entries: list[tuple[tuple[float, ...], float, float]],
@@ -163,7 +155,6 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
     if len(params) != spec.parameter_count:
         raise ValueError(
             f"expected {spec.parameter_count} parameters, got {len(params)}")
-    angles = _grid_angles(cfg.grid_points)
     sign = 1.0 if prev.lam >= 0 else -1.0
     sampled = cfg.mode.shots is not None
     slices: dict[int, tuple[float, float, float]] = {}
@@ -182,7 +173,7 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
                 sums = tuple(m + (x - m) / (sweep + 1)
                              for m, x in zip(mean, sums))
                 slices[j] = sums
-            best_lam, best_cost = _refine_argmin(sums, angles, sign)
+            best_lam, best_cost = _slice_optimum(sums, sign)
             params = bind_parameter(params, j, best_lam)
             bracket = _slice_bracket(sums, best_lam)
             trace.append(TraceEntry(sweep, j, best_lam, best_cost))
@@ -227,7 +218,6 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
         raise ValueError(f"target has dim {target.shape}, expected {1 << spec.n}")
     cfg = cfg or SweepConfig(sweeps=40)
     rng = np.random.default_rng(seed)
-    angles = _grid_angles(cfg.grid_points)
     best: FitResult | None = None
     for attempt in range(restarts):
         if attempt == 0:
@@ -240,7 +230,7 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
                 sums = tuple(
                     _overlap_bracket(target, spec, bind_parameter(params, j, b))
                     for b in _BINDINGS)
-                lam, cost = _refine_argmin(sums, angles)
+                lam, cost = _slice_optimum(sums)
                 params = bind_parameter(params, j, lam)
             if prev_cost - cost < cfg.tol:
                 break

@@ -38,12 +38,6 @@ class StateVector:
     n: int
     amps: np.ndarray
 
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        return cls(n, amps)
-
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
@@ -52,12 +46,6 @@ class StateVector:
 class DensityMatrix:
     n: int
     rho: np.ndarray
-
-    @classmethod
-    def zero(cls, n: int) -> "DensityMatrix":
-        rho = np.zeros((1 << n, 1 << n), dtype=complex)
-        rho[0, 0] = 1.0
-        return cls(n, rho)
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.rho)))

@@ -37,12 +37,6 @@ class BasisTarget(Enum):
         return self is BasisTarget.ION
 
     @property
-    def native_1q(self) -> tuple[Gate, ...]:
-        if self is BasisTarget.SC:
-            return (Gate.RZ, Gate.X, Gate.SX)
-        return (Gate.RZ, Gate.R)
-
-    @property
     def native_2q(self) -> Gate:
         return Gate.ECR if self is BasisTarget.SC else Gate.RXX
 
@@ -114,15 +108,6 @@ class _Lowered:
         self.toffoli(controls[-1], free[k - 3], t)
         for c1, c2, w in reversed(chain):
             self.toffoli(c1, c2, w)
-
-    def controlled_x_family(self, controls: tuple[int, ...], t: int,
-                            pre: np.ndarray | None, post: np.ndarray | None):
-        """MCX conjugated by 1q rotations on the target (CRY/CU_ALT shapes)."""
-        if pre is not None:
-            self.u(t, pre)
-        self.mcx(controls, t)
-        if post is not None:
-            self.u(t, post)
 
 
 def _lower(c: Circuit) -> _Lowered:
@@ -213,36 +198,6 @@ def _route_items(items: list[tuple], width: int) -> tuple[list[tuple], list[int]
             pc, pt = phys(c), phys(t)
         out.append(("cx", pc, pt))
     return out, pos
-
-
-def route_linear(c: Circuit) -> Circuit:
-    """SWAP-insert so every 2-qubit gate is nearest-neighbor on the line.
-
-    Input must already be at the CNOT + 1q level; the final logical to
-    physical map is recorded in metadata["final_positions"].
-    """
-    items = []
-    for inst in c.gates:
-        if inst.gate is Gate.CNOT:
-            items.append(("cx", inst.controls[0], inst.targets[0]))
-        elif not inst.controls and inst.gate.n_targets == 1:
-            items.append(("inst", inst))
-        else:
-            raise CircuitError(
-                f"route_linear expects a lowered circuit, found {inst.gate.value}")
-    routed, pos = _route_items(
-        [i if i[0] == "cx" else ("u", i[1].targets[0], i[1]) for i in items],
-        c.width)
-    gates = []
-    for item in routed:
-        if item[0] == "cx":
-            gates.append(GateInstance(Gate.CNOT, (item[1],), (item[2],)))
-        else:
-            inst = item[2]
-            gates.append(GateInstance(inst.gate, (), (item[1],), inst.params))
-    meta = dict(c.metadata)
-    meta["final_positions"] = pos
-    return Circuit(c.width, tuple(gates), c.ancilla, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -125,3 +125,16 @@ def test_unparseable_circuit_exits_2(tmp_path):
     src = tmp_path / "junk.txt"
     src.write_text("not a circuit\n")
     assert main(["elide", str(src), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--sweeps", "0"],
+    ["run", "--steps", "-1"],
+    ["run", "--sigma", "-1"],
+    ["noisy-run", "--profile", "aqt-ibex", "--shots", "0"],
+    ["gatecount", "--n-max", "2", "--assert"],
+])
+def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()

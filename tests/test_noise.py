@@ -8,7 +8,7 @@ from lowdepthqc.noise import (DepolarizingChannel, DeviceCalibration,
                               GateDurations, KrausChannel, MissingPairError,
                               NoiseModel, QubitCalibration, amplitude_damping,
                               builtin_profiles, dephasing,
-                              load_calibration_csv, model_from_calibration)
+                              load_calibration_csv)
 from lowdepthqc.simulator import run_density, run_statevector
 
 
@@ -82,7 +82,7 @@ def test_depolarizing_probability_conversion():
     cal = DeviceCalibration(
         "toy", (QubitCalibration(100.0, 80.0, 0.0, 0.0, 1e-3),) * 2,
         {(0, 1): 1e-2}, False, None)
-    model = model_from_calibration(cal)
+    model = NoiseModel(cal)
     x = GateInstance(Gate.X, (), (0,))
     (ch,) = model.channels_for(x)
     assert ch.p == pytest.approx(2 * 1e-3)
@@ -97,7 +97,7 @@ def test_zero_noise_density_matches_statevector(rng):
     cal = DeviceCalibration(
         "ideal", (QubitCalibration(1e9, 1e9, 0.0, 0.0, 0.0),) * 3,
         {}, True, 0.0)
-    model = model_from_calibration(cal)
+    model = NoiseModel(cal)
     c = Circuit(3, (GateInstance(Gate.SX, (), (0,)),
                     GateInstance(Gate.RZ, (), (1,), (0.4,)),
                     GateInstance(Gate.RXX, (), (0, 2), (0.9,))))
@@ -110,7 +110,7 @@ def test_thermal_recipe_adds_relaxation_channels():
     cal = DeviceCalibration(
         "toy", (QubitCalibration(100.0, 80.0, 0.0, 0.0, 1e-3),) * 2,
         {(0, 1): 1e-2}, False, None)
-    model = model_from_calibration(cal, recipe="depol_plus_thermal")
+    model = NoiseModel(cal, recipe="depol_plus_thermal")
     x = GateInstance(Gate.X, (), (0,))
     kinds = [type(ch).__name__ for ch in model.channels_for(x)]
     assert kinds.count("KrausChannel") == 2  # amplitude damping + dephasing
@@ -129,7 +129,7 @@ def test_noise_monotone_in_error_rate(rng):
     cal = builtin_profiles()["aqt-ibex"]
     values = []
     for alpha in (0.0, 1.0, 3.0):
-        model = model_from_calibration(cal.scaled(alpha))
+        model = NoiseModel(cal.scaled(alpha))
         mode = EstimatorMode.noisy(model, BasisTarget.ION)
         values.append(abs(estimate_gterm(GTermKind.OVERLAP, u_t, u_lam, mode)))
     assert values[0] >= values[1] >= values[2]
@@ -168,7 +168,7 @@ def test_readout_confusion_matrix():
     cal = DeviceCalibration(
         "toy", (QubitCalibration(100.0, 80.0, 0.02, 0.05, 1e-3),),
         {}, True, 1e-2)
-    model = model_from_calibration(cal)
+    model = NoiseModel(cal)
     m = model.confusion_matrix(0)
     # columns are true states: P(measure 0 | prepared 0) = 1 - p10
     assert np.allclose(m, [[0.95, 0.02], [0.05, 0.98]])
@@ -228,7 +228,7 @@ def _random_native_circuit(rng, width, length):
 
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
 def test_fused_density_matches_gate_by_gate(rng, recipe):
-    model = model_from_calibration(builtin_profiles()["aqt-ibex"], recipe)
+    model = NoiseModel(builtin_profiles()["aqt-ibex"], recipe)
     for _ in range(6):
         width = int(rng.integers(2, 6))
         c = _random_native_circuit(rng, width, 25)
@@ -238,8 +238,7 @@ def test_fused_density_matches_gate_by_gate(rng, recipe):
 
 
 def test_reduced_density_is_the_partial_trace(rng):
-    model = model_from_calibration(builtin_profiles()["aqt-ibex"],
-                                   "depol_plus_thermal")
+    model = NoiseModel(builtin_profiles()["aqt-ibex"], "depol_plus_thermal")
     for _ in range(6):
         width = int(rng.integers(3, 6))
         c = _random_native_circuit(rng, width, 25)

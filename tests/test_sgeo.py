@@ -9,8 +9,8 @@ from lowdepthqc.burgers import (BurgersGrid, FieldState, GTermBundle,
                                 evaluate_cost_direct, gterm_values, infidelity,
                                 initial_condition_gaussian)
 from lowdepthqc.hadamard import EstimatorMode
-from lowdepthqc.sgeo import (SweepConfig, _grid_angles, _refine_argmin,
-                             fit_initial_state, optimize_step,
+from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _slice_bracket,
+                             _slice_optimum, fit_initial_state, optimize_step,
                              reconstruct_bracket, reconstruct_cost,
                              reconstruction_coeffs)
 
@@ -43,8 +43,6 @@ def test_reconstruction_is_exact_along_every_parameter(rng):
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(grid_points=4)
     with pytest.raises(ValueError):
         SweepConfig(sweeps=0)
 
@@ -101,13 +99,32 @@ def test_signed_search_stays_on_its_branch():
     # S(l) = -0.5 + sin(l/2): |S| peaks at S = -1.5 (l = -pi), while the
     # largest S on the positive branch is 0.5 (l = pi)
     sums = (-0.5, 0.5, -0.5)
-    angles = _grid_angles(64)
-    lam, cost = _refine_argmin(sums, angles)
+    lam, cost = _slice_optimum(sums)
     assert lam == pytest.approx(-math.pi, abs=1e-6)
     assert cost == pytest.approx(-2.25, abs=1e-9)
-    lam, cost = _refine_argmin(sums, angles, sign=1.0)
+    lam, cost = _slice_optimum(sums, sign=1.0)
     assert lam == pytest.approx(math.pi, abs=1e-6)
     assert cost == pytest.approx(-0.25, abs=1e-9)
+
+
+def test_closed_form_optimum_beats_a_dense_scan(rng):
+    lo, hi = _LAMBDA_DOMAIN
+    scan = np.linspace(lo, hi, 1 << 17)   # scan error < 1e-9 for these slices
+    c, s = np.cos(scan / 2), np.sin(scan / 2)
+    coeffs = np.array([(1 + c - s) / 2, s, (1 - c - s) / 2])
+    for sums in rng.uniform(-1.0, 1.0, (200, 3)):
+        sums = tuple(sums)
+        scanned = sums @ coeffs
+        for sign in (None, 1.0, -1.0):
+            lam, cost = _slice_optimum(sums, sign)
+            s = _slice_bracket(sums, lam)
+            assert lo <= lam <= hi
+            assert cost == -s * s
+            if sign is None:
+                got, best = s * s, np.max(scanned ** 2)
+            else:
+                got, best = sign * s, np.max(sign * scanned)
+            assert best - 1e-12 <= got <= best + 1e-9
 
 
 def test_sampled_step_runs_every_sweep():

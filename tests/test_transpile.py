@@ -9,8 +9,7 @@ from lowdepthqc.circuit import Circuit, Gate, GateInstance
 from lowdepthqc.hadamard import GTermKind, build_gterm_circuit
 from lowdepthqc.simulator import run_statevector
 from lowdepthqc.transpile import (BasisTarget, count_report, decompose,
-                                  equivalent_up_to_phase, permuted_amps,
-                                  route_linear)
+                                  equivalent_up_to_phase, permuted_amps)
 
 from conftest import random_circuit
 
@@ -140,11 +139,3 @@ def test_elision_reduces_native_counts(rng):
         a = count_report(elided, target)
         b = count_report(kept, target)
         assert a.g2 < b.g2
-
-
-def test_route_linear_requires_lowered_input(rng):
-    from lowdepthqc.circuit import CircuitError
-
-    c = Circuit(3, (GateInstance(Gate.CRY, (0,), (2,), (0.3,)),))
-    with pytest.raises(CircuitError):
-        route_linear(c)
