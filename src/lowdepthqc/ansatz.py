@@ -16,7 +16,6 @@ register qubits 1..n (top to bottom).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,11 +62,6 @@ class BaselineSpec:
     @property
     def parameter_count(self) -> int:
         return self.layers * self.n
-
-
-def wrap_angle(v: float) -> float:
-    """Canonical parameter range [-pi, pi)."""
-    return float((v + math.pi) % (2 * math.pi) - math.pi)
 
 
 def bind_parameter(params, j: int, value: float) -> tuple[float, ...]:

@@ -25,7 +25,6 @@ import numpy as np
 from .circuit import Circuit
 from .hadamard import (AdderSpec, EstimatorMode, GTermKind, adder_matrix,
                        apportion_shots, build_gterm_circuit)
-from .simulator import run_statevector
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ class CostCoefficients:
         dx = grid.delta_x
         return cls(l1=lam * grid.tau * grid.nu / (2 * dx * dx),
                    l2=lam * lam * grid.tau / (2 * dx))
-
-
-@dataclass(frozen=True)
-class GTermBundle:
-    """(G1, G2, G3) at each of the three parameter bindings 0, pi, 2pi."""
-
-    at_0: tuple[float, float, float]
-    at_pi: tuple[float, float, float]
-    at_2pi: tuple[float, float, float]
-
-    @property
-    def sums(self) -> tuple[float, float, float]:
-        return (sum(self.at_0), sum(self.at_pi), sum(self.at_2pi))
 
 
 def initial_condition_gaussian(grid: BurgersGrid, sigma: float,
@@ -230,11 +216,3 @@ def infidelity(psi_opt: np.ndarray, psi_classical: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     f = abs(np.vdot(b, a)) ** 2
     return float(min(1.0, max(0.0, 1.0 - f)))
-
-
-def register_state(u_lam: Circuit) -> np.ndarray:
-    """Real register statevector prepared by an ansatz-form circuit."""
-    from .ansatz import register_circuit
-
-    amps = run_statevector(register_circuit(u_lam)).amps
-    return np.real(amps)

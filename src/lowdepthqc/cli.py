@@ -21,8 +21,10 @@ import json
 import math
 import sys
 import time
+import typing
 import zlib
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,8 @@ from .burgers import (BurgersGrid, FieldState, bracket_oracle,
                       classical_trajectory, infidelity,
                       initial_condition_gaussian)
 from .circuit import CircuitError, parse_circuit, serialize_circuit
-from .elision import (NotHadamardForm, detect_hadamard_form,
-                      elide_ancilla_controls, statevector_deviation)
+from .elision import (NotHadamardForm, detect_hadamard_form, elide_body,
+                      statevector_deviation)
 from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
 from .noise import NoiseModel, builtin_profiles, load_calibration_csv
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
@@ -117,7 +119,7 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-_ENUM_FIELDS = {"variant": Variant, "head": Head, "basis": BasisTarget}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 # n_max >= 3 because gatecount's table starts at n=3
 _LOWER_BOUNDS = {"steps": 0, "sweeps": 1, "shots": 1, "n_max": 3}
 
@@ -134,16 +136,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, value in merged.items():
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _ENUM_FIELDS and not isinstance(value, _ENUM_FIELDS[key]):
-            try:
-                value = _ENUM_FIELDS[key](str(value).lower())
-            except ValueError:
-                raise ConfigError(f"bad value {value!r} for {key}") from None
-        if key == "out":
-            value = Path(value)
-        if key == "snapshots":
-            value = tuple(float(v) for v in value)
-        setattr(cfg, key, value)
+        setattr(cfg, key, _coerce(key, value))
     for key, low in _LOWER_BOUNDS.items():
         value = getattr(cfg, key)
         if value is not None and value < low:
@@ -156,6 +149,28 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _coerce(key: str, value):
+    """``value`` converted to the declared type of config field ``key``."""
+    kind = _FIELD_TYPES[key]
+    if type(None) in typing.get_args(kind):
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    try:
+        if typing.get_origin(kind) is tuple:
+            return tuple(float(v) for v in value)
+        if issubclass(kind, Enum):
+            return value if isinstance(value, kind) else kind(str(value).lower())
+        if kind in (bool, int) and isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        converted = kind(value)
+        if kind is int and converted != float(value):
+            raise ValueError
+        return converted
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value {value!r} for {key}") from None
 
 
 def _substream(seed: int, tag: str) -> np.random.Generator:
@@ -213,7 +228,7 @@ def cmd_elide(args) -> int:
     ancilla = args.ancilla if args.ancilla is not None else 0
     circuit = type(circuit)(circuit.width, circuit.gates, ancilla)
     form = detect_hadamard_form(circuit)
-    reduced = elide_ancilla_controls(form)
+    reduced = elide_body(form.circuit, form.ancilla)
     dev = statevector_deviation(circuit, reduced)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)

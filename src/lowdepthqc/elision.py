@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateInstance
-from .simulator import ancilla_expectation_z, run_statevector
+from .simulator import run_statevector
 
 
 class NotHadamardForm(Exception):
@@ -32,12 +32,6 @@ class HadamardForm:
     ancilla: int
     body_span: tuple[int, int]  # gate indices [start, stop) between the two H's
     imaginary_part: bool
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    max_dev: float
-    passed: bool
 
 
 def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm:
@@ -73,20 +67,12 @@ def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm
     return HadamardForm(c, ancilla, (1, stop), imaginary)
 
 
-def elide_ancilla_controls(h: HadamardForm) -> Circuit:
-    """Drop the ancilla from every body control list that keeps a register control."""
-    c, a = h.circuit, h.ancilla
-    start, stop = h.body_span
-    out = list(c.gates)
-    for i in range(start, stop):
-        out[i] = _elide_gate(out[i], a)
-    return c.with_gates(tuple(out))
-
-
 def elide_body(c: Circuit, ancilla: int) -> Circuit:
-    """Trust-me mode: apply the rewrite to every gate, skipping detection.
+    """Drop the ancilla from every control list that keeps a register control.
 
-    For use by builders that construct valid Hadamard forms directly.
+    Runs over every gate without detection: in a Hadamard form the gates
+    outside the body carry no ancilla control.  Check a circuit of unknown
+    shape with ``detect_hadamard_form`` first.
     """
     return c.with_gates(tuple(_elide_gate(g, ancilla) for g in c.gates))
 
@@ -95,18 +81,6 @@ def _elide_gate(inst: GateInstance, ancilla: int) -> GateInstance:
     if ancilla in inst.controls and len(inst.controls) > 1:
         return inst.with_controls(tuple(q for q in inst.controls if q != ancilla))
     return inst
-
-
-def verify_equivalence(original: Circuit, reduced: Circuit,
-                       ancilla: int, tol: float = 1e-10) -> EquivalenceReport:
-    """Exact-statevector |<sigma_z>| deviation between the two circuits."""
-    if original.width != reduced.width:
-        raise ValueError(
-            f"width mismatch: {original.width} vs {reduced.width}")
-    z0 = ancilla_expectation_z(run_statevector(original), ancilla)
-    z1 = ancilla_expectation_z(run_statevector(reduced), ancilla)
-    dev = abs(z0 - z1)
-    return EquivalenceReport(max_dev=dev, passed=dev <= tol)
 
 
 def statevector_deviation(original: Circuit, reduced: Circuit) -> float:

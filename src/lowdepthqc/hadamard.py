@@ -40,10 +40,6 @@ class AdderSpec:
         if self.direction not in ("plus", "minus"):
             raise ValueError(f"direction must be 'plus' or 'minus', got {self.direction}")
 
-    @property
-    def work_qubits(self) -> int:
-        return max(self.n - 2, 0)
-
 
 def adder_matrix(spec: AdderSpec) -> np.ndarray:
     """Permutation with A|k> = |(k-1) mod 2^n>, so (A u)_k = u_{k+1}."""
@@ -188,15 +184,6 @@ class EstimatorMode:
     def exact(cls) -> "EstimatorMode":
         return cls()
 
-    @classmethod
-    def sampled(cls, shots: int, seed: int = 0) -> "EstimatorMode":
-        return cls(shots=shots, rng=np.random.default_rng(seed))
-
-    @classmethod
-    def noisy(cls, noise, basis, shots: int | None = None, seed: int = 0) -> "EstimatorMode":
-        return cls(shots=shots, noise=noise, basis=basis,
-                   rng=np.random.default_rng(seed))
-
     def evaluate(self, circuit: Circuit, shots: int | None = None) -> float:
         """Ancilla <Z> of ``circuit``; ``shots`` overrides the mode's count."""
         if self.noise is None:
@@ -244,11 +231,3 @@ def noisy_expectation(circuit: Circuit, noise, basis) -> float:
     p0 = (1.0 + z) / 2.0
     p0 = (1.0 - p10) * p0 + p01 * (1.0 - p0)
     return 2.0 * p0 - 1.0
-
-
-def estimate_gterm(kind: GTermKind, u_t: Circuit, u_lam: Circuit,
-                   mode: EstimatorMode, direction: str = "plus",
-                   imaginary: bool = False) -> float:
-    circ = build_gterm_circuit(kind, u_t, u_lam, direction=direction,
-                               imaginary=imaginary)
-    return mode.evaluate(circ)

@@ -64,10 +64,6 @@ class DeviceCalibration:
             return self.default_2q_error
         raise MissingPairError(f"{self.name} has no 2q error for pair ({a}, {b})")
 
-    def t2_flags(self) -> list[int]:
-        """Qubits whose reported T2 exceeds the physical 2*T1 bound."""
-        return [i for i, q in enumerate(self.qubits) if q.t2 > 2 * q.t1]
-
     def scaled(self, alpha: float) -> "DeviceCalibration":
         """All gate errors multiplied by alpha (readout untouched)."""
         qubits = tuple(replace(q, err_1q=min(1.0, q.err_1q * alpha))
@@ -97,39 +93,6 @@ class DepolarizingChannel:
         Shared between equal channels; treat it as read-only.
         """
         return _depolarizing_superop(len(self.qubits), self.p)
-
-    def apply(self, tensor: np.ndarray, n: int) -> np.ndarray:
-        if self.p == 0.0:
-            return tensor
-        if len(self.qubits) == 1 and tensor.flags.c_contiguous:
-            # in-place fast path: mix the qubit's 2x2 block toward I/2
-            q = self.qubits[0]
-            left = 1 << q
-            mid = 1 << (n - 1)
-            right = 1 << (n - q - 1)
-            v = tensor.reshape(left, 2, mid, 2, right)
-            s = (0.5 * self.p) * (v[:, 0, :, 0, :] + v[:, 1, :, 1, :])
-            v *= 1.0 - self.p
-            v[:, 0, :, 0, :] += s
-            v[:, 1, :, 1, :] += s
-            return tensor
-        traced = tensor
-        for q in sorted(self.qubits, reverse=True):
-            traced = np.trace(traced, axis1=q, axis2=n + q - ( # column axes shift
-                sum(1 for r in self.qubits if r > q)))
-        # rebuild: identity insertion on the traced-out axes
-        out = (1.0 - self.p) * tensor
-        k = len(self.qubits)
-        weight = self.p / (1 << k)
-        idx_base = [slice(None)] * tensor.ndim
-        for bits in range(1 << k):
-            idx = list(idx_base)
-            for j, q in enumerate(sorted(self.qubits)):
-                b = (bits >> j) & 1
-                idx[q] = b
-                idx[n + q] = b
-            out[tuple(idx)] += weight * traced
-        return out
 
     def kraus(self) -> list[np.ndarray]:
         """Explicit Kraus family (for trace-preservation checks)."""
@@ -164,7 +127,6 @@ class KrausChannel:
     """Generic channel from an explicit operator list on one qubit."""
 
     def __init__(self, qubit: int, operators: list[np.ndarray]):
-        self.qubit = qubit
         self.qubits = (qubit,)
         self.operators = [np.asarray(k, dtype=complex) for k in operators]
         total = sum(k.conj().T @ k for k in self.operators)
@@ -172,17 +134,8 @@ class KrausChannel:
             raise ValueError("Kraus operators are not trace preserving")
 
     def superop(self) -> np.ndarray:
-        """Superoperator on ``qubit``, index order (row, column)."""
+        """Superoperator on the qubit, index order (row, column)."""
         return sum(np.kron(k, k.conj()) for k in self.operators)
-
-    def apply(self, tensor: np.ndarray, n: int) -> np.ndarray:
-        q = self.qubit
-        out = np.zeros_like(tensor)
-        for k in self.operators:
-            t = np.moveaxis(np.tensordot(k, tensor, axes=([1], [q])), 0, q)
-            t = np.moveaxis(np.tensordot(k.conj(), t, axes=([1], [n + q])), 0, n + q)
-            out += t
-        return out
 
     def kraus(self) -> list[np.ndarray]:
         return list(self.operators)
@@ -204,15 +157,11 @@ def dephasing(qubit: int, p: float) -> KrausChannel:
 # Model assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GateDurations:
-    """Seconds; only the thermal recipe reads these."""
-
-    sc_1q: float = 60e-9
-    sc_2q: float = 660e-9
-    ion_1q: float = 15e-6
-    ion_2q: float = 200e-6
-
+# Native gate durations in seconds; only the thermal recipe reads them.
+_SC_1Q_DURATION = 60e-9
+_SC_2Q_DURATION = 660e-9
+_ION_1Q_DURATION = 15e-6
+_ION_2Q_DURATION = 200e-6
 
 _NOISELESS = (Gate.RZ,)
 _ONE_QUBIT_NATIVE = (Gate.X, Gate.SX, Gate.R)
@@ -220,13 +169,11 @@ _TWO_QUBIT_NATIVE = (Gate.ECR, Gate.RXX, Gate.RZZ, Gate.CZ)
 
 
 class NoiseModel:
-    def __init__(self, cal: DeviceCalibration, recipe: str = "depol_only",
-                 durations: GateDurations | None = None):
+    def __init__(self, cal: DeviceCalibration, recipe: str = "depol_only"):
         if recipe not in ("depol_only", "depol_plus_thermal"):
             raise ValueError(f"unknown recipe {recipe!r}")
         self.cal = cal
         self.recipe = recipe
-        self.durations = durations or GateDurations()
 
     def channels_for(self, inst: GateInstance) -> list:
         g = inst.gate
@@ -239,7 +186,7 @@ class NoiseModel:
             p = err * 2.0  # (1-F) d/(d-1), d=2
             channels.append(DepolarizingChannel((q,), min(1.0, p)))
             if self.recipe == "depol_plus_thermal":
-                dur = self.durations.ion_1q if g is Gate.R else self.durations.sc_1q
+                dur = _ION_1Q_DURATION if g is Gate.R else _SC_1Q_DURATION
                 channels += self._thermal((q,), dur)
         elif g in _TWO_QUBIT_NATIVE and not inst.controls:
             a, b = inst.targets
@@ -247,8 +194,7 @@ class NoiseModel:
             p = err * 4.0 / 3.0  # d=4
             channels.append(DepolarizingChannel((a, b), min(1.0, p)))
             if self.recipe == "depol_plus_thermal":
-                dur = (self.durations.ion_2q if g is Gate.RXX
-                       else self.durations.sc_2q)
+                dur = _ION_2Q_DURATION if g is Gate.RXX else _SC_2Q_DURATION
                 channels += self._thermal((a, b), dur)
         else:
             raise ValueError(
@@ -272,10 +218,6 @@ class NoiseModel:
     def readout_probs(self, q: int) -> tuple[float, float]:
         c = self.cal.qubit(q)
         return (c.p01, c.p10)
-
-    def confusion_matrix(self, q: int) -> np.ndarray:
-        p01, p10 = self.readout_probs(q)
-        return np.array([[1 - p10, p01], [p10, 1 - p01]])
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +290,7 @@ def builtin_profiles() -> dict[str, DeviceCalibration]:
     return {c.name: c for c in (brisbane, sherbrook, kingston, ibex)}
 
 
-def load_calibration_csv(path: str, name: str | None = None,
-                         all_to_all: bool = False) -> DeviceCalibration:
+def load_calibration_csv(path: str, name: str | None = None) -> DeviceCalibration:
     """Table-shaped CSV: one row per qubit with columns qubit, t1, t2,
     p01, p10, err_1q, and optional pair_a, pair_b, err_2q columns adding
     one coupling per row."""
@@ -364,4 +305,4 @@ def load_calibration_csv(path: str, name: str | None = None,
             if row.get("pair_a") not in (None, ""):
                 pairs[(int(row["pair_a"]), int(row["pair_b"]))] = float(row["err_2q"])
     ordered = tuple(qubits[i] for i in sorted(qubits))
-    return DeviceCalibration(name or path, ordered, pairs, all_to_all=all_to_all)
+    return DeviceCalibration(name or path, ordered, pairs)

@@ -21,11 +21,14 @@ The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
 reasons (measured on aqt-ibex, n=3, d=3, cu_alt, without shots):
 
-* the single-CNOT block lowers to RY(-l/2) MCX RY(l/2), and the noise
-  channels between the two rotations add cos(l) and sin(l) terms to the
-  slice, which three bindings cannot resolve.  The reconstructed bracket
-  misses the directly evaluated one by 4.4e-3 to 1.6e-2, depending on
-  the state and the parameter;
+* elision drops a ring gate's ancilla control on the premise that the
+  register is |0...0> in the ancilla-|0> branch.  Noise breaks that
+  premise, so U_lam acts on both branches, and the slice gains cos(l)
+  and sin(l) terms, which three bindings cannot resolve.  The
+  reconstructed bracket misses the directly evaluated one by 4.4e-3 to
+  1.6e-2, depending on the state and the parameter.  The local
+  depolarizing channels between the two rotations of a lowered block
+  are not the cause: they commute past those rotations;
 * ``transpile._emit_1q`` drops 1-qubit runs that are the identity or a
   bare RZ, so the native gate list (310 or 311 gates for the head
   parameter) and with it the noise change with the binding.  This adds
@@ -39,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import AnsatzSpec, ansatz_state, bind_parameter, build_ansatz
-from .burgers import (BurgersGrid, FieldState, GTermBundle, gterm_values,
-                      infidelity)
+from .burgers import BurgersGrid, FieldState, gterm_values, infidelity
 from .hadamard import EstimatorMode
 
 _BINDINGS = (0.0, math.pi, 2 * math.pi)
@@ -52,19 +54,11 @@ def reconstruction_coeffs(lam: float) -> tuple[float, float, float]:
     return (0.5 * (1 + c - s), s, 0.5 * (1 - c - s))
 
 
-def _slice_bracket(sums: tuple[float, float, float], lam: float) -> float:
+def reconstruct_bracket(sums: tuple[float, float, float], lam: float) -> float:
+    """The slice S(lam) from its values ``sums`` at the bindings 0, pi, 2pi."""
     s0, spi, s2pi = sums
     c0, cpi, c2pi = reconstruction_coeffs(lam)
     return c0 * s0 + cpi * spi + c2pi * s2pi
-
-
-def reconstruct_bracket(bundle: GTermBundle, lam: float) -> float:
-    return _slice_bracket(bundle.sums, lam)
-
-
-def reconstruct_cost(bundle: GTermBundle, lam: float) -> float:
-    s = reconstruct_bracket(bundle, lam)
-    return -s * s
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ def _slice_optimum(sums: tuple[float, float, float],
         return s * s if sign is None else sign * s
 
     best = max(candidates, key=objective)
-    s = _slice_bracket(sums, best)
+    s = reconstruct_bracket(sums, best)
     return best, -s * s
 
 
@@ -163,11 +157,11 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
     prev_best = math.inf
     for sweep in range(cfg.sweeps):
         for j in range(len(params)):
-            triples = []
-            for binding in _BINDINGS:
-                u_lam = build_ansatz(spec, bind_parameter(params, j, binding))
-                triples.append(gterm_values(grid, prev, u_lam, cfg.mode))
-            sums = GTermBundle(*triples).sums
+            sums = tuple(
+                sum(gterm_values(grid, prev,
+                                 build_ansatz(spec, bind_parameter(params, j, b)),
+                                 cfg.mode))
+                for b in _BINDINGS)
             if sampled:
                 mean = slices.get(j, sums)
                 sums = tuple(m + (x - m) / (sweep + 1)
@@ -175,7 +169,7 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
                 slices[j] = sums
             best_lam, best_cost = _slice_optimum(sums, sign)
             params = bind_parameter(params, j, best_lam)
-            bracket = _slice_bracket(sums, best_lam)
+            bracket = reconstruct_bracket(sums, best_lam)
             trace.append(TraceEntry(sweep, j, best_lam, best_cost))
             iterates.append((params, best_cost, bracket))
         if sampled:

@@ -8,8 +8,7 @@ amplitude index, matching numpy's C-order axis layout.
 Density evolution works on superoperators: each gate and the channels a
 noise model attaches to it fold into one, 1-qubit runs merge into the next
 2-qubit gate, and only the qubits that are live at a gate are simulated.
-Gates on three or more qubits fall back to the kernels on row and column
-axes.
+It takes gates on at most two qubits, as ``transpile.decompose`` emits.
 """
 from __future__ import annotations
 
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitError, GateInstance, gate_unitary,
-                      target_matrix)
+from .circuit import Circuit, CircuitError, gate_unitary, target_matrix
 
 DENSITY_QUBIT_CAP = 12
 
@@ -26,7 +24,6 @@ DENSITY_QUBIT_CAP = 12
 @dataclass(frozen=True)
 class ShotConfig:
     shots: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.shots < 1:
@@ -38,17 +35,11 @@ class StateVector:
     n: int
     amps: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
 
 @dataclass
 class DensityMatrix:
     n: int
     rho: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +56,6 @@ def _controlled_slice(tensor: np.ndarray, controls: tuple[int, ...]):
 def _sub_axis(axis: int, fixed: tuple[int, ...]) -> int:
     """Axis index inside the subarray after the ``fixed`` axes are removed."""
     return axis - sum(1 for f in fixed if f < axis)
-
-
-def apply_gate_tensor(tensor: np.ndarray, inst: GateInstance,
-                      axis_offset: int = 0) -> np.ndarray:
-    """Apply one gate to a rank-(2,...,2) tensor, in place where possible.
-
-    ``axis_offset`` shifts qubit indices to axes (used for density column
-    axes, where the conjugate matrix must be supplied by the caller).
-    """
-    mat = target_matrix(inst.gate, inst.params)
-    return _apply_matrix_tensor(tensor, mat, inst.controls, inst.targets, axis_offset)
 
 
 def _apply_single_uncontrolled(tensor, mat, axis):
@@ -111,19 +91,18 @@ def _apply_pair_adjacent(tensor, mat, lo):
     return tensor
 
 
-def _apply_matrix_tensor(tensor, mat, controls, targets, axis_offset=0):
+def _apply_matrix_tensor(tensor, mat, controls, targets):
+    """Apply a gate's target matrix to a rank-(2,...,2) tensor, in place
+    where possible."""
     if not controls and len(targets) == 1:
-        return _apply_single_uncontrolled(tensor, mat, targets[0] + axis_offset)
+        return _apply_single_uncontrolled(tensor, mat, targets[0])
     if (not controls and len(targets) == 2 and tensor.flags.c_contiguous
             and abs(targets[0] - targets[1]) == 1):
-        a = targets[0] + axis_offset
-        b = targets[1] + axis_offset
+        a, b = targets
         if b == a + 1:
             return _apply_pair_adjacent(tensor, mat, a)
         swapped = mat[np.ix_(_PAIR_SWAP, _PAIR_SWAP)]
         return _apply_pair_adjacent(tensor, swapped, b)
-    controls = tuple(c + axis_offset for c in controls)
-    targets = tuple(t + axis_offset for t in targets)
     idx = _controlled_slice(tensor, controls)
     sub = tensor[idx]
     axes = [_sub_axis(t, controls) for t in targets]
@@ -152,7 +131,8 @@ def run_statevector(c: Circuit, init: np.ndarray | None = None) -> StateVector:
             raise CircuitError(f"init has dimension {amps.shape}, expected {1 << n}")
     tensor = amps.reshape([2] * n)
     for inst in c.gates:
-        tensor = apply_gate_tensor(tensor, inst)
+        tensor = _apply_matrix_tensor(tensor, target_matrix(inst.gate, inst.params),
+                                      inst.controls, inst.targets)
     return StateVector(n, tensor.reshape(-1))
 
 
@@ -166,16 +146,10 @@ def ancilla_expectation_z(s: StateVector, ancilla: int) -> float:
     return float(p[0] - p[1])
 
 
-def sample_expectation_z(s: StateVector, ancilla: int, cfg: ShotConfig) -> float:
-    """Binomial shot estimate of <sigma_z>, deterministic per seed."""
-    return sample_from_expectation(ancilla_expectation_z(s, ancilla), cfg)
-
-
 def sample_from_expectation(exact_z: float, cfg: ShotConfig,
-                            rng: np.random.Generator | None = None) -> float:
+                            rng: np.random.Generator) -> float:
+    """Binomial estimate of <sigma_z> from ``cfg.shots`` shots drawn from ``rng``."""
     p0 = min(1.0, max(0.0, (1.0 + exact_z) / 2.0))
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n0 = rng.binomial(cfg.shots, p0)
     return (2 * n0 - cfg.shots) / cfg.shots
 
@@ -187,6 +161,8 @@ def sample_from_expectation(exact_z: float, cfg: ShotConfig,
 def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
     """rho after interleaving each gate's unitary with its noise channels.
 
+    Every gate acts on at most two qubits; a wider one raises
+    CircuitError, so lower the circuit with ``transpile.decompose`` first.
     ``noise`` follows the NoiseModel protocol: ``channels_for(inst)``
     returns channel objects with ``qubits`` (a subset of the gate's
     qubits) and ``superop()``.  ``None`` or an empty model gives the pure-state projector.
@@ -209,8 +185,13 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
         raise CircuitError(f"keep {keep} is not a set of qubits of {n}")
     last_multi = {}
     for i, inst in enumerate(c.gates):
-        if inst.controls or len(inst.targets) > 1:
-            for q in (*inst.controls, *inst.targets):
+        qubits = inst.qubits
+        if len(qubits) > 2:
+            raise CircuitError(
+                f"density simulation takes gates on at most two qubits, "
+                f"got {inst.gate.value} on {qubits}")
+        if len(qubits) == 2:
+            for q in qubits:
                 last_multi[q] = i
 
     live: list[int] = []              # simulated qubits, in axis order
@@ -267,7 +248,7 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
             tensor = _apply_superop(tensor, sop, superop_axes((q,)))
 
     for i, inst in enumerate(c.gates):
-        qubits = (*inst.controls, *inst.targets)
+        qubits = inst.qubits
         if (len(qubits) == 1 and qubits[0] not in keep
                 and last_multi.get(qubits[0], -1) < i):
             continue
@@ -282,31 +263,15 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
                 else:
                     pending[q] = [ch.superop() @ take(q), _I2, 1.0]
             continue
-        if len(qubits) == 2:
-            sop = _unitary_superop(gate_unitary(inst))
-            for ch in channels:
-                sop = _embed_superop(ch.superop(), ch.qubits, qubits) @ sop
-            parts = [take(q) for q in qubits]
-            if parts[0] is not None or parts[1] is not None:
-                sop = sop @ _pair_superop(*parts)
-            for q in qubits:
-                allocate(q)
-            tensor = _apply_superop(tensor, sop, superop_axes(qubits))
-        else:
-            for q in qubits:
-                flush(q)
-                allocate(q)
-            k = len(live)
-            axis = {q: live.index(q) for q in qubits}
-            mat = target_matrix(inst.gate, inst.params)
-            controls = tuple(axis[q] for q in inst.controls)
-            targets = tuple(axis[q] for q in inst.targets)
-            tensor = _apply_matrix_tensor(tensor, mat, controls, targets, 0)
-            tensor = _apply_matrix_tensor(tensor, mat.conj(), controls,
-                                          targets, k)
-            for ch in channels:
-                tensor = _apply_superop(tensor, ch.superop(),
-                                        superop_axes(ch.qubits))
+        sop = _unitary_superop(gate_unitary(inst))
+        for ch in channels:
+            sop = _embed_superop(ch.superop(), ch.qubits, qubits) @ sop
+        parts = [take(q) for q in qubits]
+        if parts[0] is not None or parts[1] is not None:
+            sop = sop @ _pair_superop(*parts)
+        for q in qubits:
+            allocate(q)
+        tensor = _apply_superop(tensor, sop, superop_axes(qubits))
         for q in qubits:
             if q not in keep and last_multi.get(q) == i:
                 trace_out(q)

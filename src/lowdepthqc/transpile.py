@@ -53,9 +53,6 @@ class GateCountReport:
 # Stage 1: lower to CNOT + 1q matrices
 # ---------------------------------------------------------------------------
 
-_ATOL = 1e-12
-
-
 def _mat(gate: Gate, *params: float) -> np.ndarray:
     return target_matrix(gate, tuple(params))
 

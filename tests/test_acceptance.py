@@ -16,21 +16,20 @@ import pytest
 
 from lowdepthqc.ansatz import AnsatzSpec, BaselineSpec, Head, Variant, \
     ansatz_state, bind_parameter, build_ansatz, build_baseline
-from lowdepthqc.burgers import (BurgersGrid, FieldState, GTermBundle,
-                                classical_step, evaluate_cost_direct,
-                                gterm_values, initial_condition_gaussian,
-                                step_matrix)
+from lowdepthqc.burgers import (BurgersGrid, FieldState, classical_step,
+                                evaluate_cost_direct, gterm_values,
+                                initial_condition_gaussian, step_matrix)
 from lowdepthqc.circuit import parse_circuit, serialize_circuit
 from lowdepthqc.cli import main
-from lowdepthqc.elision import (detect_hadamard_form, elide_ancilla_controls,
+from lowdepthqc.elision import (detect_hadamard_form, elide_body,
                                 statevector_deviation)
 from lowdepthqc.hadamard import (EstimatorMode, GTermKind, build_gterm_circuit,
-                                 estimate_gterm, gterm_oracle)
+                                 gterm_oracle)
 from lowdepthqc.noise import (DepolarizingChannel, amplitude_damping,
                               dephasing)
-from lowdepthqc.sgeo import (SweepConfig, fit_initial_state,
-                             reconstruct_cost)
-from lowdepthqc.simulator import ShotConfig, sample_from_expectation
+from lowdepthqc.sgeo import fit_initial_state, reconstruct_bracket
+from lowdepthqc.simulator import (ShotConfig, _apply_superop,
+                                  sample_from_expectation)
 from lowdepthqc.transpile import BasisTarget, count_report
 
 from conftest import random_circuit
@@ -65,7 +64,7 @@ def test_criterion_1_elision_equivalence():
         n = int(rng.integers(2, 7))
         c = random_hadamard_form(rng, n, int(rng.integers(3, 20)),
                                  imaginary=bool(rng.integers(2)))
-        reduced = elide_ancilla_controls(detect_hadamard_form(c))
+        reduced = elide_body(c, detect_hadamard_form(c).ancilla)
         worst = max(worst, statevector_deviation(c, reduced))
     _verdict(1, "ancilla-control elision", worst <= 1e-10,
              f"max statevector deviation {worst:.2e} over 200 circuits")
@@ -82,14 +81,16 @@ def test_criterion_2_sgeo_reconstruction_exactness():
     mode = EstimatorMode.exact()
     worst = 0.0
     for j in range(spec.parameter_count):
-        bundle = GTermBundle(*(
-            gterm_values(grid, prev,
-                         build_ansatz(spec, bind_parameter(params, j, b)), mode)
-            for b in (0.0, math.pi, 2 * math.pi)))
+        sums = tuple(
+            sum(gterm_values(grid, prev,
+                             build_ansatz(spec, bind_parameter(params, j, b)),
+                             mode))
+            for b in (0.0, math.pi, 2 * math.pi))
         for lam in rng.uniform(-math.pi, math.pi, 64):
             direct = evaluate_cost_direct(
                 grid, prev, build_ansatz(spec, bind_parameter(params, j, lam)))
-            worst = max(worst, abs(reconstruct_cost(bundle, lam) - direct))
+            s = reconstruct_bracket(sums, lam)
+            worst = max(worst, abs(-s * s - direct))
     _verdict(2, "analytic cost reconstruction", worst <= 1e-10,
              f"max |reconstructed - direct| {worst:.2e}, "
              f"64 angles x {spec.parameter_count} parameters")
@@ -108,9 +109,8 @@ def test_criterion_3_circuits_match_dense_oracles():
             for kind in GTermKind:
                 for direction in (("plus",) if kind is GTermKind.OVERLAP
                                   else ("plus", "minus")):
-                    got = estimate_gterm(kind, u_t, u_lam,
-                                         EstimatorMode.exact(),
-                                         direction=direction)
+                    got = EstimatorMode.exact().evaluate(build_gterm_circuit(
+                        kind, u_t, u_lam, direction=direction))
                     want = gterm_oracle(kind, u_t, u_lam, direction=direction)
                     worst = max(worst, abs(got - want))
                     checks += 1
@@ -228,7 +228,8 @@ def test_criterion_8_low_shot_analogue(tmp_path):
 def test_criterion_9_property_suites():
     rng = np.random.default_rng(9)
 
-    # channel trace preservation
+    # channel trace preservation, through each channel's superoperator as
+    # the density simulator contracts it
     worst_trace = 0.0
     channels = [DepolarizingChannel((0,), 0.05), DepolarizingChannel((0, 2), 0.02),
                 amplitude_damping(1, 0.1), dephasing(2, 0.07)]
@@ -237,7 +238,8 @@ def test_criterion_9_property_suites():
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             rho = a @ a.conj().T
             rho /= np.trace(rho)
-            out = channel.apply(rho.reshape([2] * 6).copy(), 3)
+            axes = [*channel.qubits, *(3 + q for q in channel.qubits)]
+            out = _apply_superop(rho.reshape([2] * 6), channel.superop(), axes)
             worst_trace = max(worst_trace,
                               abs(np.trace(out.reshape(8, 8)).real - 1.0))
 
@@ -256,7 +258,8 @@ def test_criterion_9_property_suites():
     # sampling concentration at 3 sigma over 1000 seeds
     z, shots = 0.3, 400
     sigma = math.sqrt((1 - z * z) / shots)
-    misses = sum(abs(sample_from_expectation(z, ShotConfig(shots, seed=s)) - z)
+    misses = sum(abs(sample_from_expectation(z, ShotConfig(shots),
+                                             rng=np.random.default_rng(s)) - z)
                  > 3 * sigma for s in range(1000))
 
     # parse/serialize round trip on 1000 random circuits

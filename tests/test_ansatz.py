@@ -5,7 +5,7 @@ import pytest
 
 from lowdepthqc.ansatz import (AnsatzSpec, BaselineSpec, Head, Variant,
                                ansatz_state, bind_parameter, build_ansatz,
-                               build_baseline, register_circuit, wrap_angle)
+                               build_baseline, register_circuit)
 from lowdepthqc.circuit import Gate
 from lowdepthqc.simulator import run_statevector
 
@@ -79,9 +79,7 @@ def test_baseline_is_fully_ancilla_controlled(rng):
     assert all(0 in g.controls for g in c.gates)
 
 
-def test_wrap_angle_and_bind():
-    assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
-    assert wrap_angle(0.3) == pytest.approx(0.3)
+def test_bind_parameter():
     assert bind_parameter((1.0, 2.0, 3.0), 1, 9.0) == (1.0, 9.0, 3.0)
     with pytest.raises(IndexError):
         bind_parameter((1.0,), 3, 0.0)

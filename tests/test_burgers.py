@@ -9,8 +9,7 @@ from lowdepthqc.burgers import (BurgersGrid, CostCoefficients, FieldState,
                                 classical_trajectory, cost_bracket,
                                 evaluate_cost_direct, family_shots,
                                 gterm_values, infidelity,
-                                initial_condition_gaussian, register_state,
-                                step_matrix)
+                                initial_condition_gaussian, step_matrix)
 from lowdepthqc.hadamard import EstimatorMode
 
 
@@ -94,13 +93,6 @@ def test_infidelity_bounds():
     assert infidelity(e, np.array([0.0, 1.0])) == 1.0
     with pytest.raises(ValueError):
         infidelity(e, np.ones(3))
-
-
-def test_register_state_roundtrip(rng):
-    spec = AnsatzSpec(3, 2, Variant.CU_ALT, Head.RY)
-    p = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-    assert np.allclose(register_state(build_ansatz(spec, p)),
-                       np.real(ansatz_state(spec, p)), atol=1e-12)
 
 
 class _ShotLog(EstimatorMode):

@@ -113,8 +113,10 @@ def test_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("bogus_key: 1\n")
     assert main(["run", "--config", str(bad)]) == 2
-    bad.write_text("variant: nope\n")
-    assert main(["run", "--config", str(bad)]) == 2
+    for text in ("variant: nope\n", "steps: abc\n", "nu: fast\n",
+                 "snapshots: 0.5\n"):
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == 2, text
     assert main(["noisy-run", "-n", "2", "-d", "1",
                  "--out", str(tmp_path / "x")]) == 2  # profile required
     assert main(["noisy-run", "-n", "2", "-d", "1", "--profile", "wat",

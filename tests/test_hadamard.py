@@ -8,8 +8,7 @@ from lowdepthqc.circuit import Gate
 from lowdepthqc.elision import detect_hadamard_form
 from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
                                  adder_gates, adder_matrix, apportion_shots,
-                                 build_gterm_circuit, estimate_gterm,
-                                 gterm_oracle)
+                                 build_gterm_circuit, gterm_oracle)
 from lowdepthqc.simulator import run_statevector
 
 
@@ -21,6 +20,10 @@ def _random_pair(rng, n, variant=None, head=None):
     mk = lambda: build_ansatz(
         spec, rng.uniform(-math.pi, math.pi, spec.parameter_count))
     return mk(), mk()
+
+
+def _estimate(kind, u_t, u_lam, mode, **kwargs):
+    return mode.evaluate(build_gterm_circuit(kind, u_t, u_lam, **kwargs))
 
 
 def test_adder_is_cyclic_shift():
@@ -58,16 +61,16 @@ def test_gterm_circuits_match_dense_oracle(rng):
         for kind in GTermKind:
             for direction in (("plus",) if kind is GTermKind.OVERLAP
                               else ("plus", "minus")):
-                got = estimate_gterm(kind, u_t, u_lam, EstimatorMode.exact(),
-                                     direction=direction)
+                got = _estimate(kind, u_t, u_lam, EstimatorMode.exact(),
+                                direction=direction)
                 want = gterm_oracle(kind, u_t, u_lam, direction=direction)
                 assert abs(got - want) <= 1e-10, (kind, direction, n)
 
 
 def test_gterm_imaginary_part(rng):
     u_t, u_lam = _random_pair(rng, 2)
-    got = estimate_gterm(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode.exact(),
-                         imaginary=True)
+    got = _estimate(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode.exact(),
+                    imaginary=True)
     want = gterm_oracle(GTermKind.OVERLAP, u_t, u_lam, imaginary=True)
     assert abs(got - want) <= 1e-10
 
@@ -83,7 +86,7 @@ def test_gterm_circuit_is_valid_hadamard_form(rng):
 def test_elided_and_unelided_gterm_agree(rng):
     u_t, u_lam = _random_pair(rng, 3)
     for kind in GTermKind:
-        a = estimate_gterm(kind, u_t, u_lam, EstimatorMode.exact())
+        a = _estimate(kind, u_t, u_lam, EstimatorMode.exact())
         c = build_gterm_circuit(kind, u_t, u_lam, elide=False)
         b = EstimatorMode.exact().evaluate(c)
         assert abs(a - b) <= 1e-12
@@ -98,9 +101,9 @@ def test_gterm_widths(rng):
 
 def test_sampled_estimator_converges(rng):
     u_t, u_lam = _random_pair(rng, 2)
-    exact = estimate_gterm(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode.exact())
-    mode = EstimatorMode.sampled(shots=200_000, seed=11)
-    approx = estimate_gterm(GTermKind.OVERLAP, u_t, u_lam, mode)
+    exact = _estimate(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode.exact())
+    mode = EstimatorMode(shots=200_000, rng=np.random.default_rng(11))
+    approx = _estimate(GTermKind.OVERLAP, u_t, u_lam, mode)
     assert abs(approx - exact) < 0.01
 
 

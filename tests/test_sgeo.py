@@ -5,14 +5,13 @@ import pytest
 
 from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
                                bind_parameter, build_ansatz)
-from lowdepthqc.burgers import (BurgersGrid, FieldState, GTermBundle,
-                                evaluate_cost_direct, gterm_values, infidelity,
+from lowdepthqc.burgers import (BurgersGrid, FieldState, evaluate_cost_direct,
+                                gterm_values, infidelity,
                                 initial_condition_gaussian)
 from lowdepthqc.hadamard import EstimatorMode
-from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _slice_bracket,
-                             _slice_optimum, fit_initial_state, optimize_step,
-                             reconstruct_bracket, reconstruct_cost,
-                             reconstruction_coeffs)
+from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _slice_optimum,
+                             fit_initial_state, optimize_step,
+                             reconstruct_bracket, reconstruction_coeffs)
 
 BINDINGS = (0.0, math.pi, 2 * math.pi)
 
@@ -31,15 +30,16 @@ def test_reconstruction_is_exact_along_every_parameter(rng):
     params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
     mode = EstimatorMode.exact()
     for j in range(spec.parameter_count):
-        triples = [gterm_values(grid, prev,
-                                build_ansatz(spec, bind_parameter(params, j, b)),
-                                mode)
-                   for b in BINDINGS]
-        bundle = GTermBundle(*triples)
+        sums = tuple(
+            sum(gterm_values(grid, prev,
+                             build_ansatz(spec, bind_parameter(params, j, b)),
+                             mode))
+            for b in BINDINGS)
         for lam in rng.uniform(-math.pi, math.pi, 16):
             direct = evaluate_cost_direct(
                 grid, prev, build_ansatz(spec, bind_parameter(params, j, lam)))
-            assert abs(reconstruct_cost(bundle, lam) - direct) <= 1e-10
+            s = reconstruct_bracket(sums, lam)
+            assert abs(-s * s - direct) <= 1e-10
 
 
 def test_sweep_config_validation():
@@ -117,7 +117,7 @@ def test_closed_form_optimum_beats_a_dense_scan(rng):
         scanned = sums @ coeffs
         for sign in (None, 1.0, -1.0):
             lam, cost = _slice_optimum(sums, sign)
-            s = _slice_bracket(sums, lam)
+            s = reconstruct_bracket(sums, lam)
             assert lo <= lam <= hi
             assert cost == -s * s
             if sign is None:
@@ -136,7 +136,8 @@ def test_sampled_step_runs_every_sweep():
     prev = FieldState(ic.lam, np.real(ansatz_state(spec, fit.params)),
                       build_ansatz(spec, fit.params))
     cfg = SweepConfig(sweeps=4, tol=1.0,
-                      mode=EstimatorMode.sampled(shots=300, seed=2))
+                      mode=EstimatorMode(shots=300,
+                                         rng=np.random.default_rng(2)))
     res = optimize_step(grid, prev, spec, fit.params, cfg)
     assert len(res.trace) == 4 * spec.parameter_count
     assert res.bracket > 0
