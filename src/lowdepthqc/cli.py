@@ -39,7 +39,8 @@ from .circuit import CircuitError, parse_circuit, serialize_circuit
 from .elision import (NotHadamardForm, detect_hadamard_form, elide_body,
                       statevector_deviation)
 from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
-from .noise import NoiseModel, builtin_profiles, load_calibration_csv
+from .noise import (RECIPES, MissingPairError, NoiseModel, builtin_profiles,
+                    load_calibration_csv)
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
 from .transpile import BasisTarget, count_report
 
@@ -70,7 +71,6 @@ class ExperimentConfig:
     profile: str | None = None
     profile_csv: str | None = None
     recipe: str = "depol_only"
-    basis: BasisTarget | None = None
     snapshots: tuple[float, ...] = ()
     n_max: int = 6
     assert_thresholds: bool = False
@@ -143,6 +143,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
     if cfg.sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {cfg.sigma}")
+    if cfg.recipe not in RECIPES:
+        raise ConfigError(
+            f"unknown recipe {cfg.recipe!r}; available: {list(RECIPES)}")
     try:
         cfg.grid()
         cfg.ansatz()
@@ -183,16 +186,17 @@ def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
     rng = _substream(cfg.seed, tag)
     if cfg.profile or cfg.profile_csv:
         if cfg.profile_csv:
-            cal = load_calibration_csv(cfg.profile_csv)
+            try:
+                cal = load_calibration_csv(cfg.profile_csv)
+            except ValueError as exc:
+                raise ConfigError(f"bad profile CSV: {exc}") from None
         else:
             profiles = builtin_profiles()
             if cfg.profile not in profiles:
                 raise ConfigError(
                     f"unknown profile {cfg.profile!r}; available: {sorted(profiles)}")
             cal = profiles[cfg.profile]
-        basis = cfg.basis
-        if basis is None:
-            basis = BasisTarget.ION if cal.all_to_all else BasisTarget.SC
+        basis = BasisTarget.ION if cal.all_to_all else BasisTarget.SC
         model = NoiseModel(cal, cfg.recipe)
         mode = EstimatorMode(shots=cfg.shots, noise=model, basis=basis, rng=rng)
     elif cfg.shots:
@@ -487,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None,
                    help="builtin noise profile name")
     p.add_argument("--profile-csv", default=None, dest="profile_csv")
-    p.add_argument("--recipe", choices=["depol_only", "depol_plus_thermal"],
-                   default=None)
-    p.add_argument("--basis", choices=[b.value for b in BasisTarget], default=None)
+    p.add_argument("--recipe", choices=RECIPES, default=None)
     p.set_defaults(func=cmd_noisy_run)
 
     p = sub.add_parser("gatecount", help="native gate-count sweep")
@@ -512,7 +514,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CircuitError, NotHadamardForm, OSError) as exc:
+    except (CircuitError, NotHadamardForm, MissingPairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,8 +30,6 @@ class NotHadamardForm(Exception):
 class HadamardForm:
     circuit: Circuit
     ancilla: int
-    body_span: tuple[int, int]  # gate indices [start, stop) between the two H's
-    imaginary_part: bool
 
 
 def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm:
@@ -48,11 +46,9 @@ def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm
     if not (last.gate is Gate.H and not last.controls and last.targets == (ancilla,)):
         raise NotHadamardForm(f"final gate is not H on ancilla {ancilla}: {last}")
     stop = len(gates) - 1
-    imaginary = False
     if stop >= 2:
         before = gates[stop - 1]
         if before.gate is Gate.S_DAG and before.targets == (ancilla,):
-            imaginary = True
             stop -= 1
     for i in range(1, stop):
         inst = gates[i]
@@ -64,7 +60,7 @@ def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm
         if not inst.controls:
             raise NotHadamardForm(
                 f"gate {i} is an uncontrolled register gate: {inst}")
-    return HadamardForm(c, ancilla, (1, stop), imaginary)
+    return HadamardForm(c, ancilla)
 
 
 def elide_body(c: Circuit, ancilla: int) -> Circuit:

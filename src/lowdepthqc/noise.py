@@ -163,6 +163,8 @@ _SC_2Q_DURATION = 660e-9
 _ION_1Q_DURATION = 15e-6
 _ION_2Q_DURATION = 200e-6
 
+RECIPES = ("depol_only", "depol_plus_thermal")
+
 _NOISELESS = (Gate.RZ,)
 _ONE_QUBIT_NATIVE = (Gate.X, Gate.SX, Gate.R)
 _TWO_QUBIT_NATIVE = (Gate.ECR, Gate.RXX, Gate.RZZ, Gate.CZ)
@@ -170,7 +172,7 @@ _TWO_QUBIT_NATIVE = (Gate.ECR, Gate.RXX, Gate.RZZ, Gate.CZ)
 
 class NoiseModel:
     def __init__(self, cal: DeviceCalibration, recipe: str = "depol_only"):
-        if recipe not in ("depol_only", "depol_plus_thermal"):
+        if recipe not in RECIPES:
             raise ValueError(f"unknown recipe {recipe!r}")
         self.cal = cal
         self.recipe = recipe
@@ -293,16 +295,20 @@ def builtin_profiles() -> dict[str, DeviceCalibration]:
 def load_calibration_csv(path: str, name: str | None = None) -> DeviceCalibration:
     """Table-shaped CSV: one row per qubit with columns qubit, t1, t2,
     p01, p10, err_1q, and optional pair_a, pair_b, err_2q columns adding
-    one coupling per row."""
+    one coupling per row.  A missing column or an unreadable value raises
+    ValueError."""
     qubits: dict[int, QubitCalibration] = {}
     pairs: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            q = int(row["qubit"])
-            qubits[q] = QubitCalibration(
-                float(row["t1"]), float(row["t2"]),
-                float(row["p01"]), float(row["p10"]), float(row["err_1q"]))
-            if row.get("pair_a") not in (None, ""):
-                pairs[(int(row["pair_a"]), int(row["pair_b"]))] = float(row["err_2q"])
+        try:
+            for row in csv.DictReader(fh):
+                q = int(row["qubit"])
+                qubits[q] = QubitCalibration(
+                    float(row["t1"]), float(row["t2"]),
+                    float(row["p01"]), float(row["p10"]), float(row["err_1q"]))
+                if row.get("pair_a") not in (None, ""):
+                    pairs[(int(row["pair_a"]), int(row["pair_b"]))] = float(row["err_2q"])
+        except KeyError as exc:
+            raise ValueError(f"{path} has no column {exc}") from None
     ordered = tuple(qubits[i] for i in sorted(qubits))
     return DeviceCalibration(name or path, ordered, pairs)

@@ -1,14 +1,18 @@
 """Exact statevector and density-matrix simulation.
 
-Gates are applied with bit-masked tensor kernels (reshape to a rank-n
-tensor, fix control axes at |1>, contract the target axes); no full 2^n
-unitary is ever materialized.  Qubit 0 is the most significant bit of the
-amplitude index, matching numpy's C-order axis layout.
+One kernel applies every gate: ``_apply_matrix`` moves the gate's axes of
+a rank-(2,...,2) tensor to the front, does one matmul and moves them
+back.  The statevector path contracts each gate's full unitary over its
+qubits (``circuit.gate_unitary``, controls first, so a control acts through
+the block structure of that unitary); no 2^n matrix is ever built.  Qubit
+0 is the most significant bit of the amplitude index, matching numpy's
+C-order axis layout.
 
-Density evolution works on superoperators: each gate and the channels a
-noise model attaches to it fold into one, 1-qubit runs merge into the next
-2-qubit gate, and only the qubits that are live at a gate are simulated.
-It takes gates on at most two qubits, as ``transpile.decompose`` emits.
+Density evolution contracts superoperators with the same kernel: each
+gate and the channels a noise model attaches to it fold into one, 1-qubit
+runs merge into the next 2-qubit gate, and only the qubits that are live
+at a gate are simulated.  It takes gates on at most two qubits, as
+``transpile.decompose`` emits.
 """
 from __future__ import annotations
 
@@ -42,107 +46,45 @@ class DensityMatrix:
     rho: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# Kernels
-# ---------------------------------------------------------------------------
+def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """Contract ``mat`` into the tensor axes ``axes`` (the matrix's index
+    order, first axis most significant); returns a C-contiguous tensor.
 
-def _controlled_slice(tensor: np.ndarray, controls: tuple[int, ...]):
-    idx = [slice(None)] * tensor.ndim
-    for c in controls:
-        idx[c] = 1
-    return tuple(idx)
-
-
-def _sub_axis(axis: int, fixed: tuple[int, ...]) -> int:
-    """Axis index inside the subarray after the ``fixed`` axes are removed."""
-    return axis - sum(1 for f in fixed if f < axis)
+    A gate unitary acts on statevector axes, a superoperator on density
+    axes (rows, then columns).
+    """
+    perm = list(axes) + [i for i in range(tensor.ndim) if i not in axes]
+    flat = tensor.transpose(perm).reshape(mat.shape[1], -1)
+    out = (mat @ flat).reshape(tensor.shape)
+    return np.ascontiguousarray(out.transpose(np.argsort(perm)))
 
 
-def _apply_single_uncontrolled(tensor, mat, axis):
-    """Hot path: uncontrolled 1-qubit matrix via broadcast matmul."""
-    left = 1 << axis
-    right = tensor.size >> (axis + 1)
-    view = tensor.reshape(left, 2, right)
-    if mat[0, 1] == 0 and mat[1, 0] == 0:   # diagonal (RZ and friends)
-        view *= mat.diagonal().reshape(1, 2, 1)
-        return tensor
-    if right >= left:
-        view[:] = np.matmul(mat, view)
-    else:
-        # axis near the end: one big gemm beats many tiny batched ones
-        moved = view.transpose(1, 0, 2).reshape(2, -1)
-        view[:] = np.matmul(mat, moved).reshape(2, left, right).transpose(1, 0, 2)
-    return tensor
-
-
-_PAIR_SWAP = np.array([0, 2, 1, 3])
-
-
-def _apply_pair_adjacent(tensor, mat, lo):
-    """Uncontrolled 2-qubit matrix on adjacent axes (lo, lo + 1)."""
-    left = 1 << lo
-    right = tensor.size >> (lo + 2)
-    view = tensor.reshape(left, 4, right)
-    if right >= left:
-        view[:] = np.matmul(mat, view)
-    else:
-        moved = view.transpose(1, 0, 2).reshape(4, -1)
-        view[:] = np.matmul(mat, moved).reshape(4, left, right).transpose(1, 0, 2)
-    return tensor
-
-
-def _apply_matrix_tensor(tensor, mat, controls, targets):
-    """Apply a gate's target matrix to a rank-(2,...,2) tensor, in place
-    where possible."""
-    if not controls and len(targets) == 1:
-        return _apply_single_uncontrolled(tensor, mat, targets[0])
-    if (not controls and len(targets) == 2 and tensor.flags.c_contiguous
-            and abs(targets[0] - targets[1]) == 1):
-        a, b = targets
-        if b == a + 1:
-            return _apply_pair_adjacent(tensor, mat, a)
-        swapped = mat[np.ix_(_PAIR_SWAP, _PAIR_SWAP)]
-        return _apply_pair_adjacent(tensor, swapped, b)
-    idx = _controlled_slice(tensor, controls)
-    sub = tensor[idx]
-    axes = [_sub_axis(t, controls) for t in targets]
-    if len(targets) == 1:
-        out = np.tensordot(mat, sub, axes=([1], [axes[0]]))
-        out = np.moveaxis(out, 0, axes[0])
-    else:
-        moved = np.moveaxis(sub, axes, (0, 1))
-        shape = moved.shape
-        flat = moved.reshape(4, -1)
-        flat = mat @ flat
-        out = np.moveaxis(flat.reshape(shape), (0, 1), axes)
-    tensor[idx] = out
-    return tensor
-
-
-def run_statevector(c: Circuit, init: np.ndarray | None = None) -> StateVector:
-    """State of applying the gate list in order to |0...0> (or ``init``)."""
+def run_statevector(c: Circuit) -> StateVector:
+    """State of applying the gate list in order to |0...0>."""
     n = c.width
-    if init is None:
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-    else:
-        amps = np.asarray(init, dtype=complex).copy()
-        if amps.shape != (1 << n,):
-            raise CircuitError(f"init has dimension {amps.shape}, expected {1 << n}")
-    tensor = amps.reshape([2] * n)
+    tensor = np.zeros([2] * n, dtype=complex)
+    tensor[(0,) * n] = 1.0
     for inst in c.gates:
-        tensor = _apply_matrix_tensor(tensor, target_matrix(inst.gate, inst.params),
-                                      inst.controls, inst.targets)
+        tensor = _apply_matrix(tensor, gate_unitary(inst), inst.qubits)
     return StateVector(n, tensor.reshape(-1))
 
 
 def ancilla_expectation_z(s: StateVector, ancilla: int) -> float:
     """<sigma_z> on one qubit: sum over bitstrings of (-1)^bit |amp|^2."""
-    if not 0 <= ancilla < s.n:
-        raise CircuitError(f"ancilla {ancilla} out of range for {s.n} qubits")
-    probs = np.abs(s.amps.reshape([2] * s.n)) ** 2
-    other = tuple(i for i in range(s.n) if i != ancilla)
-    p = probs.sum(axis=other)
+    return _expectation_z(np.abs(s.amps) ** 2, s.n, ancilla)
+
+
+def density_expectation_z(d: DensityMatrix, ancilla: int) -> float:
+    """<sigma_z> on one qubit from the diagonal of rho."""
+    return _expectation_z(np.real(np.diagonal(d.rho)), d.n, ancilla)
+
+
+def _expectation_z(probs: np.ndarray, n: int, qubit: int) -> float:
+    """p(qubit=0) - p(qubit=1) from the 2^n basis-state probabilities."""
+    if not 0 <= qubit < n:
+        raise CircuitError(f"qubit {qubit} out of range for {n} qubits")
+    other = tuple(i for i in range(n) if i != qubit)
+    p = probs.reshape([2] * n).sum(axis=other)
     return float(p[0] - p[1])
 
 
@@ -245,7 +187,7 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
         sop = take(q)
         if sop is not None:
             allocate(q)
-            tensor = _apply_superop(tensor, sop, superop_axes((q,)))
+            tensor = _apply_matrix(tensor, sop, superop_axes((q,)))
 
     for i, inst in enumerate(c.gates):
         qubits = inst.qubits
@@ -271,7 +213,7 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
             sop = sop @ _pair_superop(*parts)
         for q in qubits:
             allocate(q)
-        tensor = _apply_superop(tensor, sop, superop_axes(qubits))
+        tensor = _apply_matrix(tensor, sop, superop_axes(qubits))
         for q in qubits:
             if q not in keep and last_multi.get(q) == i:
                 trace_out(q)
@@ -294,15 +236,6 @@ def _unitary_superop(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
-def _apply_superop(tensor: np.ndarray, sop: np.ndarray, axes) -> np.ndarray:
-    """Contract a superoperator (rows, then columns index order) into the
-    density tensor axes ``axes``; returns a C-contiguous tensor."""
-    perm = list(axes) + [i for i in range(tensor.ndim) if i not in axes]
-    flat = tensor.transpose(perm).reshape(sop.shape[1], -1)
-    out = (sop @ flat).reshape(tensor.shape)
-    return np.ascontiguousarray(out.transpose(np.argsort(perm)))
-
-
 def _pair_superop(sa, sb) -> np.ndarray:
     """16x16 superoperator on qubits (a, b) from a 4x4 one on each
     (``None`` for identity)."""
@@ -321,10 +254,3 @@ def _embed_superop(sop: np.ndarray, own: tuple[int, ...],
         return sop
     return (_pair_superop(sop, None) if tuple(own) == qubits[:1]
             else _pair_superop(None, sop))
-
-
-def density_expectation_z(d: DensityMatrix, ancilla: int) -> float:
-    probs = np.real(np.diagonal(d.rho)).reshape([2] * d.n)
-    other = tuple(i for i in range(d.n) if i != ancilla)
-    p = probs.sum(axis=other)
-    return float(p[0] - p[1])

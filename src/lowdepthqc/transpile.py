@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,7 +46,6 @@ class GateCountReport:
     g1: int
     g2: int
     depth: int
-    histogram: dict = field(compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +351,9 @@ def decompose(c: Circuit, target: BasisTarget) -> Circuit:
 
 def count_report(c: Circuit, target: BasisTarget) -> GateCountReport:
     native = decompose(c, target)
-    hist: dict[str, int] = {}
     g1 = g2 = 0
     wire_depth = [0] * native.width
     for inst in native.gates:
-        hist[inst.gate.value] = hist.get(inst.gate.value, 0) + 1
         touched = inst.qubits
         if len(touched) == 2:
             g2 += 1
@@ -365,7 +362,7 @@ def count_report(c: Circuit, target: BasisTarget) -> GateCountReport:
         level = max(wire_depth[q] for q in touched) + 1
         for q in touched:
             wire_depth[q] = level
-    return GateCountReport(g1, g2, max(wire_depth, default=0), hist)
+    return GateCountReport(g1, g2, max(wire_depth, default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from lowdepthqc.hadamard import (EstimatorMode, GTermKind, build_gterm_circuit,
 from lowdepthqc.noise import (DepolarizingChannel, amplitude_damping,
                               dephasing)
 from lowdepthqc.sgeo import fit_initial_state, reconstruct_bracket
-from lowdepthqc.simulator import (ShotConfig, _apply_superop,
+from lowdepthqc.simulator import (ShotConfig, _apply_matrix as _apply_superop,
                                   sample_from_expectation)
 from lowdepthqc.transpile import BasisTarget, count_report
 

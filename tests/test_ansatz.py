@@ -6,7 +6,7 @@ import pytest
 from lowdepthqc.ansatz import (AnsatzSpec, BaselineSpec, Head, Variant,
                                ansatz_state, bind_parameter, build_ansatz,
                                build_baseline, register_circuit)
-from lowdepthqc.circuit import Gate
+from lowdepthqc.circuit import Gate, GateInstance
 from lowdepthqc.simulator import run_statevector
 
 
@@ -53,17 +53,15 @@ def test_register_view_matches_full_branch(rng):
             params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
             full = build_ansatz(spec, params)
             # |1> ancilla branch of the full circuit vs the register view
-            amps = run_statevector(full, init=_anc_one(full.width)).amps
+            amps = run_statevector(_anc_one(full)).amps
             branch = amps.reshape(2, -1)[1]
             reg = run_statevector(register_circuit(full)).amps
             assert np.allclose(branch, reg, atol=1e-12)
 
 
-def _anc_one(width):
-    # |1> on wire 0 (most significant bit), |0...0> on the register
-    init = np.zeros(1 << width, dtype=complex)
-    init[1 << (width - 1)] = 1.0
-    return init
+def _anc_one(c):
+    # ``c`` run from |1> on wire 0 (the ancilla), |0...0> on the register
+    return c.with_gates((GateInstance(Gate.X, (), (0,)),) + c.gates)
 
 
 def test_ansatz_state_is_normalized_and_real(rng):

@@ -140,3 +140,38 @@ def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _calibration_csv(path, columns, qubits=12):
+    values = {"t1": "200", "t2": "150", "p01": "0.01", "p10": "0.02",
+              "err_1q": "0.0003"}
+    rows = [",".join(columns)]
+    for q in range(qubits):
+        rows.append(",".join(str(q) if c == "qubit" else values[c]
+                             for c in columns))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_bad_noise_input_exits_2(tmp_path, capsys):
+    quick = ["noisy-run", "-n", "2", "-d", "1", "--steps", "1",
+             "--sweeps", "1", "--shots", "10"]
+    cfg = tmp_path / "recipe.yaml"
+    cfg.write_text("recipe: bogus\nprofile: aqt-ibex\n")
+    out = tmp_path / "recipe"
+    assert main(quick + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown recipe 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+    no_p01 = tmp_path / "no_p01.csv"
+    _calibration_csv(no_p01, ["qubit", "t1", "t2", "p10", "err_1q"])
+    out = tmp_path / "column"
+    assert main(quick + ["--profile-csv", str(no_p01), "--out", str(out)]) == 2
+    assert "no column 'p01'" in capsys.readouterr().err
+    assert not out.exists()
+
+    # every qubit calibrated, but no 2-qubit error for any coupling
+    no_pairs = tmp_path / "no_pairs.csv"
+    _calibration_csv(no_pairs, ["qubit", "t1", "t2", "p01", "p10", "err_1q"])
+    assert main(quick + ["--profile-csv", str(no_pairs),
+                         "--out", str(tmp_path / "pairs")]) == 2
+    assert "has no 2q error for pair" in capsys.readouterr().err

@@ -35,7 +35,7 @@ def test_adder_is_cyclic_shift():
 
 
 def test_adder_circuit_truth_table():
-    from lowdepthqc.circuit import Circuit
+    from lowdepthqc.circuit import Circuit, Gate, GateInstance
 
     for n in range(1, 5):
         for direction in ("plus", "minus"):
@@ -43,9 +43,10 @@ def test_adder_circuit_truth_table():
             gates = adder_gates(spec, list(range(n)))
             m = adder_matrix(spec)
             for k in range(1 << n):
-                init = np.zeros(1 << n, dtype=complex)
-                init[k] = 1.0
-                out = run_statevector(Circuit(n, tuple(gates)), init=init).amps
+                # |k> from X gates; qubit 0 is the most significant bit
+                prep = [GateInstance(Gate.X, (), (q,)) for q in range(n)
+                        if (k >> (n - 1 - q)) & 1]
+                out = run_statevector(Circuit(n, tuple(prep + gates))).amps
                 assert np.allclose(out, m[:, k]), (n, direction, k)
 
 

@@ -10,7 +10,8 @@ from lowdepthqc.noise import (DepolarizingChannel, DeviceCalibration,
                               QubitCalibration, amplitude_damping,
                               builtin_profiles, dephasing,
                               load_calibration_csv)
-from lowdepthqc.simulator import _apply_superop, run_density, run_statevector
+from lowdepthqc.simulator import (_apply_matrix as _apply_superop, run_density,
+                                  run_statevector)
 from lowdepthqc.transpile import BasisTarget
 
 # criterion 9's channels, the depolarizing pair on non-adjacent qubits

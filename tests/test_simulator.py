@@ -24,14 +24,6 @@ def test_statevector_matches_dense_oracle(rng):
         assert np.allclose(amps, want, atol=1e-10)
 
 
-def test_statevector_custom_init(rng):
-    c = random_circuit(rng, 3, 10)
-    init = rng.normal(size=8) + 1j * rng.normal(size=8)
-    init /= np.linalg.norm(init)
-    amps = run_statevector(c, init=init).amps
-    assert np.allclose(amps, dense_unitary(c) @ init, atol=1e-10)
-
-
 def test_density_matches_statevector_for_pure_evolution(rng):
     for _ in range(20):
         width = int(rng.integers(1, 5))

@@ -113,9 +113,9 @@ def test_ion_skips_routing():
 def test_count_report_shape(rng):
     c = random_circuit(rng, 3, 8, gates=SAFE_GATES)
     r = count_report(c, BasisTarget.ION)
-    assert r.g1 == sum(v for k, v in r.histogram.items()
-                       if k in ("rz", "r", "sx", "x"))
-    assert r.g2 == r.histogram.get("rxx", 0)
+    native = decompose(c, BasisTarget.ION).gates
+    assert r.g1 + r.g2 == len(native)
+    assert r.g2 == sum(1 for g in native if g.gate is Gate.RXX)
     assert r.depth >= 1
 
 
