@@ -131,6 +131,7 @@ def register_circuit(full: Circuit) -> Circuit:
     """
     if full.ancilla != 0:
         raise ValueError("expected an ansatz circuit with ancilla at index 0")
+    down = {q: q - 1 for q in range(1, full.width)}
     gates = []
     for inst in full.gates:
         if 0 in inst.controls:
@@ -144,7 +145,7 @@ def register_circuit(full: Circuit) -> Circuit:
                     raise ValueError(
                         f"no uncontrolled form for head gate {inst.gate.value}")
                 inst = GateInstance(base, (), inst.targets, inst.params)
-        gates.append(inst.shifted(-1))
+        gates.append(inst.remapped(down))
     return Circuit(full.width - 1, tuple(gates))
 
 

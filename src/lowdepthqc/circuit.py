@@ -134,14 +134,6 @@ class GateInstance:
             g = Gate.MCX
         return GateInstance(g, controls, self.targets, self.params)
 
-    def shifted(self, offset: int) -> "GateInstance":
-        return GateInstance(
-            self.gate,
-            tuple(q + offset for q in self.controls),
-            tuple(q + offset for q in self.targets),
-            self.params,
-        )
-
     def remapped(self, mapping: dict[int, int]) -> "GateInstance":
         return GateInstance(
             self.gate,

@@ -196,9 +196,8 @@ def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
                 raise ConfigError(
                     f"unknown profile {cfg.profile!r}; available: {sorted(profiles)}")
             cal = profiles[cfg.profile]
-        basis = BasisTarget.ION if cal.all_to_all else BasisTarget.SC
         model = NoiseModel(cal, cfg.recipe)
-        mode = EstimatorMode(shots=cfg.shots, noise=model, basis=basis, rng=rng)
+        mode = EstimatorMode(shots=cfg.shots, noise=model, rng=rng)
     elif cfg.shots:
         mode = EstimatorMode(shots=cfg.shots, rng=rng)
     else:

@@ -177,7 +177,6 @@ class EstimatorMode:
 
     shots: int | None = None
     noise: object | None = None          # NoiseModel, when noisy
-    basis: object | None = None          # BasisTarget the noisy path transpiles to
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
 
     @classmethod
@@ -189,7 +188,7 @@ class EstimatorMode:
         if self.noise is None:
             z = ancilla_expectation_z(run_statevector(circuit), circuit.ancilla)
         else:
-            z = noisy_expectation(circuit, self.noise, self.basis)
+            z = noisy_expectation(circuit, self.noise, self.noise.basis)
         if self.shots is not None:
             count = self.shots if shots is None else shots
             z = sample_from_expectation(z, ShotConfig(count), rng=self.rng)

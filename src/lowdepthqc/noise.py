@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Gate, GateInstance
+from .transpile import BasisTarget
 
 
 class MissingPairError(Exception):
@@ -176,6 +177,11 @@ class NoiseModel:
             raise ValueError(f"unknown recipe {recipe!r}")
         self.cal = cal
         self.recipe = recipe
+
+    @property
+    def basis(self) -> BasisTarget:
+        """Native target the device runs: ION when all-to-all, SC otherwise."""
+        return BasisTarget.ION if self.cal.all_to_all else BasisTarget.SC
 
     def channels_for(self, inst: GateInstance) -> list:
         g = inst.gate

@@ -5,12 +5,19 @@ Two targets:
 * SC: {ECR, RZ, X, SX} with nearest-neighbor connectivity on a line;
 * ION: {RXX, RZ, R} with all-to-all connectivity.
 
-The pipeline lowers everything to bare CNOTs plus arbitrary 1-qubit
-unitaries, routes (SC only), replaces each CNOT by the native entangler
-with fixed 1-qubit dressings, then merges runs of 1-qubit unitaries per
-wire and re-emits them in the native 1-qubit basis.  Dressings follow
-from CX = (RZ(pi/2) x RX(-pi/2)) RZX(pi/2) up to phase, with RZX(pi/2)
-obtained from ECR or RXX(pi/2) by Hadamard conjugations.
+``decompose`` takes the gate kinds that the estimator and baseline
+circuits contain: uncontrolled 1-target gates, CNOT/MCX, CRY and CU_ALT.
+Any other kind raises ``CircuitError``.
+
+One walk over the circuit lowers each gate and emits native gates as it
+goes.  A 1-qubit unitary multiplies onto the pending 1-qubit product of
+its wire's current physical position.  A CNOT first routes (SC only: the
+target walks next to the control by neighbor SWAPs, each three CNOTs),
+then flushes the pending products of both wires in the native 1-qubit
+basis, emits the native entangler and leaves its fixed post-dressings
+pending.  Dressings follow from CX = (RZ(pi/2) x RX(-pi/2)) RZX(pi/2) up
+to phase, with RZX(pi/2) obtained from ECR or RXX(pi/2) by Hadamard
+conjugations.
 
 Multi-controlled X expands through the clean-work-qubit chain (2k-3
 Toffolis for k controls) when the circuit carries enough work wires,
@@ -32,14 +39,6 @@ class BasisTarget(Enum):
     SC = "sc"
     ION = "ion"
 
-    @property
-    def all_to_all(self) -> bool:
-        return self is BasisTarget.ION
-
-    @property
-    def native_2q(self) -> Gate:
-        return Gate.ECR if self is BasisTarget.SC else Gate.RXX
-
 
 @dataclass(frozen=True)
 class GateCountReport:
@@ -48,162 +47,11 @@ class GateCountReport:
     depth: int
 
 
-# ---------------------------------------------------------------------------
-# Stage 1: lower to CNOT + 1q matrices
-# ---------------------------------------------------------------------------
-
 def _mat(gate: Gate, *params: float) -> np.ndarray:
     return target_matrix(gate, tuple(params))
 
 
-class _Lowered:
-    """Worklist of ('u', q, matrix) and ('cx', c, t) items."""
-
-    def __init__(self, width: int, work: list[int]):
-        self.width = width
-        self.work = work
-        self.items: list[tuple] = []
-
-    def u(self, q: int, m: np.ndarray):
-        self.items.append(("u", q, m))
-
-    def cx(self, c: int, t: int):
-        self.items.append(("cx", c, t))
-
-    def toffoli(self, c1: int, c2: int, t: int):
-        tq = _mat(Gate.RZ, math.pi / 4)       # T up to phase
-        tdg = _mat(Gate.RZ, -math.pi / 4)
-        h = _mat(Gate.H)
-        self.u(t, h)
-        self.cx(c2, t); self.u(t, tdg)
-        self.cx(c1, t); self.u(t, tq)
-        self.cx(c2, t); self.u(t, tdg)
-        self.cx(c1, t); self.u(c2, tq); self.u(t, tq); self.u(t, h)
-        self.cx(c1, c2); self.u(c1, tq); self.u(c2, tdg)
-        self.cx(c1, c2)
-
-    def mcx(self, controls: tuple[int, ...], t: int):
-        k = len(controls)
-        if k == 1:
-            self.cx(controls[0], t)
-            return
-        if k == 2:
-            self.toffoli(controls[0], controls[1], t)
-            return
-        free = [w for w in self.work if w not in controls and w != t]
-        if len(free) < k - 2:
-            raise CircuitError(
-                f"mcx with {k} controls needs {k - 2} work qubits, "
-                f"{len(free)} available")
-        chain = []
-        self.toffoli(controls[0], controls[1], free[0])
-        chain.append((controls[0], controls[1], free[0]))
-        for i in range(k - 3):
-            self.toffoli(controls[2 + i], free[i], free[i + 1])
-            chain.append((controls[2 + i], free[i], free[i + 1]))
-        self.toffoli(controls[-1], free[k - 3], t)
-        for c1, c2, w in reversed(chain):
-            self.toffoli(c1, c2, w)
-
-
-def _lower(c: Circuit) -> _Lowered:
-    out = _Lowered(c.width, list(c.metadata.get("work_qubits", [])))
-    h = _mat(Gate.H)
-    for inst in c.gates:
-        g, ctr, tg, p = inst.gate, inst.controls, inst.targets, inst.params
-        if g in (Gate.H, Gate.X, Gate.SX, Gate.S_DAG, Gate.RX, Gate.RY,
-                 Gate.RZ, Gate.R) and not ctr:
-            out.u(tg[0], _mat(g, *p))
-        elif g is Gate.CNOT:
-            out.cx(ctr[0], tg[0])
-        elif g is Gate.MCX:
-            out.mcx(ctr, tg[0])
-        elif g is Gate.CRY:
-            half = p[0] / 2
-            out.u(tg[0], _mat(Gate.RY, half))
-            out.mcx(ctr, tg[0])
-            out.u(tg[0], _mat(Gate.RY, -half))
-            out.mcx(ctr, tg[0])
-        elif g is Gate.CU_ALT:
-            half = p[0] / 2
-            out.u(tg[0], _mat(Gate.RY, -half))
-            out.mcx(ctr, tg[0])
-            out.u(tg[0], _mat(Gate.RY, half))
-        elif g is Gate.CZ:
-            out.u(tg[0], h)
-            out.mcx(ctr, tg[0])
-            out.u(tg[0], h)
-        elif g is Gate.SWAP:
-            a, b = tg
-            out.cx(a, b); out.cx(b, a); out.cx(a, b)
-        elif g is Gate.RZZ:
-            a, b = tg
-            out.cx(a, b)
-            out.u(b, _mat(Gate.RZ, p[0]))
-            out.cx(a, b)
-        elif g is Gate.RXX:
-            a, b = tg
-            out.u(a, h); out.u(b, h)
-            out.cx(a, b)
-            out.u(b, _mat(Gate.RZ, p[0]))
-            out.cx(a, b)
-            out.u(a, h); out.u(b, h)
-        elif g is Gate.ECR:
-            a, b = tg
-            # invert the CX-from-ECR dressing: ECR = (Qc x Qt)^dag CX (H x H)
-            _, _, post_c, post_t = _cx_dressings(BasisTarget.SC)
-            out.u(a, h); out.u(b, h)
-            out.cx(a, b)
-            out.u(a, post_c.conj().T)
-            out.u(b, post_t.conj().T)
-        else:
-            raise CircuitError(f"cannot lower {g.value}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Stage 2: routing on a line (SC)
-# ---------------------------------------------------------------------------
-
-def _route_items(items: list[tuple], width: int) -> tuple[list[tuple], list[int]]:
-    """Greedy SWAP insertion; returns routed items + final logical->physical map."""
-    pos = list(range(width))       # pos[logical] = physical
-
-    def phys(q):
-        return pos[q]
-
-    def do_swap(out, pa, pb):
-        out.append(("cx", pa, pb))
-        out.append(("cx", pb, pa))
-        out.append(("cx", pa, pb))
-        la = pos.index(pa)
-        lb = pos.index(pb)
-        pos[la], pos[lb] = pos[lb], pos[la]
-
-    out: list[tuple] = []
-    for item in items:
-        if item[0] == "u":
-            out.append(("u", phys(item[1]), item[2]))
-            continue
-        _, c, t = item
-        pc, pt = phys(c), phys(t)
-        # walk the target next to the control, one neighbor swap at a time
-        while abs(pc - pt) > 1:
-            step = 1 if pc > pt else -1
-            do_swap(out, pt, pt + step)
-            pc, pt = phys(c), phys(t)
-        out.append(("cx", pc, pt))
-    return out, pos
-
-
-# ---------------------------------------------------------------------------
-# Stage 3: native 2q substitution and 1q re-emission
-# ---------------------------------------------------------------------------
-
-def _h() -> np.ndarray:
-    return _mat(Gate.H)
-
-
+_I2 = np.eye(2, dtype=complex)
 _CX_MATRIX = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                        [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
@@ -235,7 +83,7 @@ def _cx_dressings(target: BasisTarget):
     """
     if target in _DRESSING_CACHE:
         return _DRESSING_CACHE[target]
-    h = _h()
+    h = _mat(Gate.H)
     if target is BasisTarget.SC:
         pre_c, pre_t = h, h
         m2 = target_matrix(Gate.ECR, ())
@@ -301,52 +149,128 @@ def _emit_1q(q: int, u: np.ndarray, target: BasisTarget) -> list[GateInstance]:
     return out
 
 
-def decompose(c: Circuit, target: BasisTarget) -> Circuit:
-    """Full pipeline to the native basis; tracks the routing permutation."""
-    low = _lower(c)
-    items = low.items
-    if target is BasisTarget.SC:
-        items, pos = _route_items(items, c.width)
-    else:
-        pos = list(range(c.width))
-    pre_c, pre_t, post_c, post_t = _cx_dressings(target)
-    native = target.native_2q
-    pending: dict[int, np.ndarray] = {}
+class _Walk:
+    """Lowers logical gates and emits native ones in the same pass.
 
-    out: list[GateInstance] = []
+    ``pos[logical]`` is the wire's physical position; ``pending[physical]``
+    is the 1-qubit product not yet emitted on that wire.
+    """
 
-    def push(q, m):
-        pending[q] = m @ pending.get(q, np.eye(2, dtype=complex))
+    def __init__(self, c: Circuit, target: BasisTarget):
+        self.target = target
+        self.dressings = _cx_dressings(target)
+        self.work = list(c.metadata.get("work_qubits", []))
+        self.pos = list(range(c.width))
+        self.pending: dict[int, np.ndarray] = {}
+        self.out: list[GateInstance] = []
 
-    def flush(q):
-        m = pending.pop(q, None)
+    def _push(self, p: int, m: np.ndarray):
+        self.pending[p] = m @ self.pending.get(p, _I2)
+
+    def flush(self, p: int):
+        m = self.pending.pop(p, None)
         if m is not None:
-            out.extend(_emit_1q(q, m, target))
+            self.out.extend(_emit_1q(p, m, self.target))
 
-    for item in items:
-        if item[0] == "u":
-            push(item[1], item[2])
-            continue
-        _, cq, tq = item
-        if pre_c is not None:
-            push(cq, pre_c)
+    def _native_cx(self, pc: int, pt: int):
+        pre_c, pre_t, post_c, post_t = self.dressings
+        self._push(pc, pre_c)
         if pre_t is not None:
-            push(tq, pre_t)
-        flush(cq)
-        flush(tq)
-        if native is Gate.ECR:
-            out.append(GateInstance(Gate.ECR, (), (cq, tq)))
+            self._push(pt, pre_t)
+        self.flush(pc)
+        self.flush(pt)
+        if self.target is BasisTarget.SC:
+            self.out.append(GateInstance(Gate.ECR, (), (pc, pt)))
         else:
-            out.append(GateInstance(Gate.RXX, (), (cq, tq), (math.pi / 2,)))
-        if post_c is not None:
-            push(cq, post_c)
-        if post_t is not None:
-            push(tq, post_t)
-    for q in sorted(pending):
-        flush(q)
+            self.out.append(GateInstance(Gate.RXX, (), (pc, pt), (math.pi / 2,)))
+        self._push(pc, post_c)
+        self._push(pt, post_t)
+
+    def u(self, q: int, m: np.ndarray):
+        self._push(self.pos[q], m)
+
+    def cx(self, c: int, t: int):
+        pos = self.pos
+        if self.target is BasisTarget.SC:
+            # walk the target next to the control, one neighbor swap at a time
+            while abs(pos[c] - pos[t]) > 1:
+                pa = pos[t]
+                pb = pa + (1 if pos[c] > pa else -1)
+                self._native_cx(pa, pb)
+                self._native_cx(pb, pa)
+                self._native_cx(pa, pb)
+                la, lb = pos.index(pa), pos.index(pb)
+                pos[la], pos[lb] = pos[lb], pos[la]
+        self._native_cx(pos[c], pos[t])
+
+    def toffoli(self, c1: int, c2: int, t: int):
+        tq = _mat(Gate.RZ, math.pi / 4)       # T up to phase
+        tdg = _mat(Gate.RZ, -math.pi / 4)
+        h = _mat(Gate.H)
+        self.u(t, h)
+        self.cx(c2, t); self.u(t, tdg)
+        self.cx(c1, t); self.u(t, tq)
+        self.cx(c2, t); self.u(t, tdg)
+        self.cx(c1, t); self.u(c2, tq); self.u(t, tq); self.u(t, h)
+        self.cx(c1, c2); self.u(c1, tq); self.u(c2, tdg)
+        self.cx(c1, c2)
+
+    def mcx(self, controls: tuple[int, ...], t: int):
+        k = len(controls)
+        if k == 1:
+            self.cx(controls[0], t)
+            return
+        if k == 2:
+            self.toffoli(controls[0], controls[1], t)
+            return
+        free = [w for w in self.work if w not in controls and w != t]
+        if len(free) < k - 2:
+            raise CircuitError(
+                f"mcx with {k} controls needs {k - 2} work qubits, "
+                f"{len(free)} available")
+        chain = []
+        self.toffoli(controls[0], controls[1], free[0])
+        chain.append((controls[0], controls[1], free[0]))
+        for i in range(k - 3):
+            self.toffoli(controls[2 + i], free[i], free[i + 1])
+            chain.append((controls[2 + i], free[i], free[i + 1]))
+        self.toffoli(controls[-1], free[k - 3], t)
+        for c1, c2, w in reversed(chain):
+            self.toffoli(c1, c2, w)
+
+
+_ONE_QUBIT = (Gate.H, Gate.X, Gate.SX, Gate.S_DAG, Gate.RX, Gate.RY, Gate.RZ,
+              Gate.R)
+
+
+def decompose(c: Circuit, target: BasisTarget) -> Circuit:
+    """Lower ``c`` to the native basis in one walk; tracks the routing
+    permutation in ``metadata["final_positions"]``."""
+    walk = _Walk(c, target)
+    for inst in c.gates:
+        g, ctr, tg, p = inst.gate, inst.controls, inst.targets, inst.params
+        if g in _ONE_QUBIT and not ctr:
+            walk.u(tg[0], _mat(g, *p))
+        elif g in (Gate.CNOT, Gate.MCX):
+            walk.mcx(ctr, tg[0])
+        elif g is Gate.CRY:
+            half = p[0] / 2
+            walk.u(tg[0], _mat(Gate.RY, half))
+            walk.mcx(ctr, tg[0])
+            walk.u(tg[0], _mat(Gate.RY, -half))
+            walk.mcx(ctr, tg[0])
+        elif g is Gate.CU_ALT:
+            half = p[0] / 2
+            walk.u(tg[0], _mat(Gate.RY, -half))
+            walk.mcx(ctr, tg[0])
+            walk.u(tg[0], _mat(Gate.RY, half))
+        else:
+            raise CircuitError(f"cannot lower {g.value}")
+    for q in sorted(walk.pending):
+        walk.flush(q)
     meta = dict(c.metadata)
-    meta["final_positions"] = pos
-    return Circuit(c.width, tuple(out), c.ancilla, meta)
+    meta["final_positions"] = walk.pos
+    return Circuit(c.width, tuple(walk.out), c.ancilla, meta)
 
 
 def count_report(c: Circuit, target: BasisTarget) -> GateCountReport:

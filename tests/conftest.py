@@ -1,13 +1,15 @@
 """Shared helpers: random circuit generation and an independent dense oracle.
 
-The dense embedding here walks basis indices explicitly instead of using
-the simulator's tensor kernel, so matches between the two are genuine
-cross-checks rather than the same code talking to itself.
+The dense embedding here walks basis indices explicitly and places each
+gate's target matrix on the rows where every control is 1, instead of
+using the simulator's kernel or ``gate_unitary``'s controlled blocks, so
+matches between the two are genuine cross-checks rather than the same
+code talking to itself.
 """
 import numpy as np
 import pytest
 
-from lowdepthqc.circuit import Circuit, Gate, GateInstance, gate_unitary
+from lowdepthqc.circuit import Circuit, Gate, GateInstance, target_matrix
 
 RANDOM_GATES = (Gate.H, Gate.X, Gate.SX, Gate.S_DAG, Gate.RX, Gate.RY,
                 Gate.RZ, Gate.R, Gate.RXX, Gate.RZZ, Gate.CNOT, Gate.ECR,
@@ -17,26 +19,30 @@ RANDOM_GATES = (Gate.H, Gate.X, Gate.SX, Gate.S_DAG, Gate.RX, Gate.RY,
 def embed_gate(inst: GateInstance, width: int) -> np.ndarray:
     """Dense (2^width, 2^width) matrix of one gate, by index bookkeeping.
 
-    Qubit 0 is the most significant bit of the basis index, matching the
-    text format and the simulator's axis ordering.
+    The target matrix acts on the basis states whose controls are all 1;
+    every other basis state maps to itself.  Qubit 0 is the most
+    significant bit of the basis index, matching the text format and the
+    simulator's axis ordering.
     """
-    qs = inst.controls + inst.targets
-    m = gate_unitary(inst)
-    k = len(qs)
+    m = target_matrix(inst.gate, inst.params)
+    masks = [1 << (width - 1 - q) for q in inst.targets]
+    k = len(masks)
     dim = 1 << width
     full = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        bits = [(col >> (width - 1 - q)) & 1 for q in range(width)]
+        if not all(col >> (width - 1 - q) & 1 for q in inst.controls):
+            full[col, col] = 1
+            continue
         sub_col = 0
-        for q in qs:
-            sub_col = (sub_col << 1) | bits[q]
+        for mask in masks:
+            sub_col = (sub_col << 1) | bool(col & mask)
         for sub_row in range(1 << k):
-            row_bits = list(bits)
-            for a, q in enumerate(qs):
-                row_bits[q] = (sub_row >> (k - 1 - a)) & 1
-            row = 0
-            for b in row_bits:
-                row = (row << 1) | b
+            row = col
+            for a, mask in enumerate(masks):
+                if (sub_row >> (k - 1 - a)) & 1:
+                    row |= mask
+                else:
+                    row &= ~mask
             full[row, col] += m[sub_row, sub_col]
     return full
 

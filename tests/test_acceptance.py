@@ -118,6 +118,7 @@ def test_criterion_3_circuits_match_dense_oracles():
              f"max deviation {worst:.2e} over {checks} circuit evaluations")
 
 
+@pytest.mark.slow
 def test_criterion_4_noiseless_dynamics(tmp_path):
     out = tmp_path / "run"
     code = main(["run", "-n", "3", "-d", "3", "--nu", "0.001", "--steps", "56",
@@ -191,6 +192,7 @@ def _noisy_run(out, profile, steps, shots, seed, snapshots=()):
     return _read_series(out)
 
 
+@pytest.mark.slow
 def test_criterion_7_noise_ordering(tmp_path):
     ion = _noisy_run(tmp_path / "aqt", "aqt-ibex", 3, 20000, 2,
                      snapshots=(0.0, 0.6))
@@ -211,6 +213,7 @@ def test_criterion_7_noise_ordering(tmp_path):
              f"IBM t=0.2 (<=0.60): {ibm_text}")
 
 
+@pytest.mark.slow
 def test_criterion_8_low_shot_analogue(tmp_path):
     first, second = [], []
     for seed in range(5):

@@ -138,10 +138,25 @@ def test_noise_monotone_in_error_rate(rng):
     cal = builtin_profiles()["aqt-ibex"]
     values = []
     for alpha in (0.0, 1.0, 3.0):
-        mode = EstimatorMode(noise=NoiseModel(cal.scaled(alpha)),
-                             basis=BasisTarget.ION)
+        mode = EstimatorMode(noise=NoiseModel(cal.scaled(alpha)))
         values.append(abs(mode.evaluate(circ)))
     assert values[0] >= values[1] >= values[2]
+
+
+def test_estimator_takes_its_basis_from_the_calibration(rng):
+    from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, build_ansatz
+    from lowdepthqc.hadamard import (EstimatorMode, GTermKind,
+                                     build_gterm_circuit)
+
+    spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
+    mk = lambda: build_ansatz(
+        spec, rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    circ = build_gterm_circuit(GTermKind.SHIFT, mk(), mk())
+    model = NoiseModel(builtin_profiles()["ibm-brisbane"])
+    assert model.basis is BasisTarget.SC
+    assert NoiseModel(builtin_profiles()["aqt-ibex"]).basis is BasisTarget.ION
+    got = EstimatorMode(noise=model).evaluate(circ)
+    assert got == noisy_expectation(circ, model, BasisTarget.SC)
 
 
 def test_builtin_profiles_present():

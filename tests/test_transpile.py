@@ -5,7 +5,7 @@ import pytest
 
 from lowdepthqc.ansatz import AnsatzSpec, BaselineSpec, Head, Variant, \
     build_ansatz, build_baseline
-from lowdepthqc.circuit import Circuit, Gate, GateInstance
+from lowdepthqc.circuit import Circuit, CircuitError, Gate, GateInstance
 from lowdepthqc.hadamard import GTermKind, build_gterm_circuit
 from lowdepthqc.simulator import run_statevector
 from lowdepthqc.transpile import (BasisTarget, count_report, decompose,
@@ -18,10 +18,9 @@ NATIVE = {
     BasisTarget.ION: {Gate.RZ, Gate.R, Gate.RXX},
 }
 
-# gates whose decomposition needs no extra work wires
+# kinds decompose lowers whose decomposition needs no extra work wires
 SAFE_GATES = (Gate.H, Gate.X, Gate.SX, Gate.S_DAG, Gate.RX, Gate.RY, Gate.RZ,
-              Gate.R, Gate.RXX, Gate.RZZ, Gate.CNOT, Gate.ECR, Gate.CZ,
-              Gate.SWAP, Gate.CRY, Gate.CU_ALT)
+              Gate.R, Gate.CNOT, Gate.CRY, Gate.CU_ALT)
 
 
 def _check_native(c: Circuit, target: BasisTarget):
@@ -88,11 +87,21 @@ def test_mcx_with_work_qubits_decomposes(rng):
 
 
 def test_mcx_without_work_qubits_raises():
-    from lowdepthqc.circuit import CircuitError
-
     c = Circuit(4, (GateInstance(Gate.MCX, (0, 1, 2), (3,)),))
     with pytest.raises(CircuitError):
         decompose(c, BasisTarget.ION)
+
+
+def test_kinds_no_circuit_carries_are_not_lowered():
+    # the estimator and baseline circuits hold no 2-target or CZ gates
+    for gate in (Gate.CZ, Gate.SWAP, Gate.RZZ, Gate.RXX, Gate.ECR):
+        if gate is Gate.CZ:
+            inst = GateInstance(gate, (0,), (1,))
+        else:
+            inst = GateInstance(gate, (), (0, 1), (0.3,) * gate.n_params)
+        for target in BasisTarget:
+            with pytest.raises(CircuitError, match=f"cannot lower {gate.value}"):
+                decompose(Circuit(2, (inst,)), target)
 
 
 def test_routing_respects_linear_coupling(rng):
