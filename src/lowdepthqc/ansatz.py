@@ -125,9 +125,9 @@ def build_baseline(spec: BaselineSpec, params) -> Circuit:
 def register_circuit(full: Circuit) -> Circuit:
     """Register-only view of an ansatz: the ancilla-|1> branch action.
 
-    The ancilla-controlled head collapses to its target action (CNOT -> X,
-    CRY -> RY); every other gate keeps its register controls.  Qubit
-    indices shift down by one.
+    Every gate loses its ancilla control, so the head collapses to its
+    target action (CNOT -> X, CRY -> RY); every other gate keeps its
+    register controls.  Qubit indices shift down by one.
     """
     if full.ancilla != 0:
         raise ValueError("expected an ansatz circuit with ancilla at index 0")
@@ -135,16 +135,7 @@ def register_circuit(full: Circuit) -> Circuit:
     gates = []
     for inst in full.gates:
         if 0 in inst.controls:
-            rest = tuple(q for q in inst.controls if q != 0)
-            if rest:
-                inst = inst.with_controls(rest)
-            else:
-                base = {Gate.CNOT: Gate.X, Gate.MCX: Gate.X, Gate.CRY: Gate.RY,
-                        Gate.CU_ALT: None}.get(inst.gate)
-                if base is None:
-                    raise ValueError(
-                        f"no uncontrolled form for head gate {inst.gate.value}")
-                inst = GateInstance(base, (), inst.targets, inst.params)
+            inst = inst.with_controls(tuple(q for q in inst.controls if q != 0))
         gates.append(inst.remapped(down))
     return Circuit(full.width - 1, tuple(gates))
 

@@ -6,6 +6,17 @@ pass and simulator in this package consumes.  Multi-controlled gates stay
 first-class (no eager decomposition) so control-list rewrites can act on
 them before any basis translation.
 
+The vocabulary holds the kinds that some circuit builds or some lowering
+emits, thirteen in all, each defined once on its ``Gate`` member:
+
+* logical: H, X, RY, S_DAG (imaginary-part readout), CNOT, MCX, CRY and
+  CU_ALT, the last four controlled;
+* native: RZ, SX, X and ECR (superconducting), RZ, R and RXX (trapped ion).
+
+``controlled_kind`` is the one rule for a kind's name by its control
+count (X/CNOT/MCX, RY/CRY), and ``GateInstance.with_controls`` applies
+it, so adding or stripping a control never needs a table of its own.
+
 Conventions fixed here and relied on everywhere else:
 
 * qubit 0 is the topmost wire; in basis-state indices it is the most
@@ -37,48 +48,46 @@ class CircuitSyntaxError(CircuitError):
         self.column = column
 
 
-class UnsupportedGateError(CircuitError):
-    """Matrix requested for a gate that has no fixed small unitary."""
-
-
 class Gate(Enum):
-    H = "h"
-    X = "x"
-    SX = "sx"
-    S_DAG = "s_dag"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    R = "r"
-    RXX = "rxx"
-    RZZ = "rzz"
-    CNOT = "cnot"
-    ECR = "ecr"
-    CZ = "cz"
-    SWAP = "swap"
-    MCX = "mcx"
-    CRY = "cry"
-    CU_ALT = "cu_alt"
+    """Gate kinds, each with its arity: text name, angle count, target
+    count, and the controls its name implies (MCX takes one or more)."""
 
-    @property
-    def n_params(self) -> int:
-        if self is Gate.R:
-            return 2
-        if self in (Gate.RX, Gate.RY, Gate.RZ, Gate.RXX, Gate.RZZ, Gate.CRY, Gate.CU_ALT):
-            return 1
-        return 0
+    H = ("h", 0, 1, 0)
+    X = ("x", 0, 1, 0)
+    SX = ("sx", 0, 1, 0)
+    S_DAG = ("s_dag", 0, 1, 0)
+    RY = ("ry", 1, 1, 0)
+    RZ = ("rz", 1, 1, 0)
+    R = ("r", 2, 1, 0)
+    RXX = ("rxx", 1, 2, 0)
+    CNOT = ("cnot", 0, 1, 1)
+    ECR = ("ecr", 0, 2, 0)
+    MCX = ("mcx", 0, 1, 1)
+    CRY = ("cry", 1, 1, 1)
+    CU_ALT = ("cu_alt", 1, 1, 1)
 
-    @property
-    def n_targets(self) -> int:
-        return 2 if self in (Gate.RXX, Gate.RZZ, Gate.SWAP, Gate.ECR) else 1
-
-    @property
-    def base_controls(self) -> int:
-        """Controls inherent to the gate's name (MCX is open-ended)."""
-        return 1 if self in (Gate.CNOT, Gate.CZ, Gate.CRY, Gate.CU_ALT, Gate.MCX) else 0
+    def __new__(cls, name: str, n_params: int, n_targets: int, base_controls: int):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.n_params = n_params
+        member.n_targets = n_targets
+        member.base_controls = base_controls
+        return member
 
 
 _NAMED_GATES = {g.value: g for g in Gate}
+
+# kinds whose name follows their control count, indexed by that count
+_BY_CONTROLS = {g: family
+                for family in ((Gate.X, Gate.CNOT, Gate.MCX), (Gate.RY, Gate.CRY))
+                for g in family}
+
+
+def controlled_kind(gate: Gate, k: int) -> Gate:
+    """Kind that ``gate``'s target action takes under ``k`` controls:
+    X/CNOT/MCX for 0/1/2+, RY/CRY for 0/1+; any other kind keeps its name."""
+    family = _BY_CONTROLS.get(gate)
+    return gate if family is None else family[min(k, len(family) - 1)]
 
 
 @dataclass(frozen=True)
@@ -126,13 +135,8 @@ class GateInstance:
                     f"{self.gate.value} touches qubit {q}, circuit width is {width}")
 
     def with_controls(self, controls: tuple[int, ...]) -> "GateInstance":
-        g = self.gate
-        # MCX normalizes: a single remaining control is just a CNOT.
-        if g is Gate.MCX and len(controls) == 1:
-            g = Gate.CNOT
-        elif g is Gate.CNOT and len(controls) > 1:
-            g = Gate.MCX
-        return GateInstance(g, controls, self.targets, self.params)
+        return GateInstance(controlled_kind(self.gate, len(controls)), controls,
+                            self.targets, self.params)
 
     def remapped(self, mapping: dict[int, int]) -> "GateInstance":
         return GateInstance(
@@ -175,10 +179,9 @@ def dagger(c: Circuit) -> Circuit:
 
 def invert_gate(inst: GateInstance) -> GateInstance:
     g = inst.gate
-    if g in (Gate.H, Gate.X, Gate.CNOT, Gate.CZ, Gate.SWAP, Gate.MCX,
-             Gate.ECR, Gate.CU_ALT):
+    if g in (Gate.H, Gate.X, Gate.CNOT, Gate.MCX, Gate.ECR, Gate.CU_ALT):
         return inst
-    if g in (Gate.RX, Gate.RY, Gate.RZ, Gate.RXX, Gate.RZZ, Gate.CRY):
+    if g in (Gate.RY, Gate.RZ, Gate.RXX, Gate.CRY):
         return GateInstance(g, inst.controls, inst.targets, (-inst.params[0],))
     if g is Gate.R:
         theta, phi = inst.params
@@ -194,6 +197,9 @@ _I2 = np.eye(2, dtype=complex)
 _PX = np.array([[0, 1], [1, 0]], dtype=complex)
 _PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_XX = np.kron(_PX, _PX)
+# echoed cross-resonance: (IX - XY)/sqrt(2), first factor = qubit 0
+_ECR = (np.kron(_I2, _PX) - np.kron(_PX, _PY)) / math.sqrt(2)
 
 
 def target_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
@@ -209,10 +215,6 @@ def target_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
         return 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
     if gate is Gate.S_DAG:
         return np.array([[1, 0], [0, -1j]], dtype=complex)
-    if gate is Gate.RX:
-        t = params[0] / 2
-        return np.array([[math.cos(t), -1j * math.sin(t)],
-                         [-1j * math.sin(t), math.cos(t)]])
     if gate is Gate.RY or gate is Gate.CRY:
         t = params[0] / 2
         return np.array([[math.cos(t), -math.sin(t)],
@@ -227,24 +229,13 @@ def target_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
             [math.cos(t), -1j * np.exp(-1j * phi) * math.sin(t)],
             [-1j * np.exp(1j * phi) * math.sin(t), math.cos(t)],
         ])
-    if gate is Gate.CZ:
-        return _PZ.copy()
     if gate is Gate.CU_ALT:
         t = params[0] / 2
         return math.cos(t) * _PX - math.sin(t) * _PZ
     if gate is Gate.RXX:
         t = params[0] / 2
-        return math.cos(t) * np.eye(4) - 1j * math.sin(t) * np.kron(_PX, _PX)
-    if gate is Gate.RZZ:
-        t = params[0] / 2
-        return np.diag(np.exp(-1j * t * np.array([1, -1, -1, 1])))
-    if gate is Gate.SWAP:
-        return np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                         [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    if gate is Gate.ECR:
-        # Echoed cross-resonance: (IX - XY)/sqrt(2), first factor = qubit 0.
-        return (np.kron(_I2, _PX) - np.kron(_PX, _PY)) / math.sqrt(2)
-    raise UnsupportedGateError(f"no target matrix for {gate.value}")
+        return math.cos(t) * np.eye(4) - 1j * math.sin(t) * _XX
+    return _ECR.copy()  # the one kind left
 
 
 def gate_unitary(inst: GateInstance) -> np.ndarray:

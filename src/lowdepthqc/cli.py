@@ -42,7 +42,7 @@ from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
 from .noise import (RECIPES, MissingPairError, NoiseModel, builtin_profiles,
                     load_calibration_csv)
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
-from .transpile import BasisTarget, count_report
+from .transpile import BasisTarget, count_report, decompose
 
 
 class ConfigError(Exception):
@@ -197,12 +197,38 @@ def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
                     f"unknown profile {cfg.profile!r}; available: {sorted(profiles)}")
             cal = profiles[cfg.profile]
         model = NoiseModel(cal, cfg.recipe)
+        _check_couplings(cfg, model)
         mode = EstimatorMode(shots=cfg.shots, noise=model, rng=rng)
     elif cfg.shots:
         mode = EstimatorMode(shots=cfg.shots, rng=rng)
     else:
         mode = EstimatorMode.exact()
     return mode
+
+
+def _check_couplings(cfg: ExperimentConfig, model: NoiseModel) -> None:
+    """Fail before any work when the calibration misses a qubit or coupling
+    that the widest estimator circuit (shift_diag) uses.  The native
+    2-qubit structure, SC routing included, does not depend on the angles,
+    so one lowering at zero angles covers every circuit of the run."""
+    spec = cfg.ansatz()
+    u = build_ansatz(spec, (0.0,) * spec.parameter_count)
+    native = decompose(build_gterm_circuit(GTermKind.SHIFT_DIAG, u, u), model.basis)
+    try:
+        for inst in native.gates:
+            model.channels_for(inst)
+    except MissingPairError as exc:
+        raise ConfigError(f"profile does not cover the circuits: {exc}") from None
+
+
+_FIT_SWEEPS = 40  # every initial-state fit, so `fit` reports what `run` starts from
+
+
+def _fit(cfg: ExperimentConfig, ic):
+    return fit_initial_state(ic.psi, cfg.ansatz(),
+                             SweepConfig(_FIT_SWEEPS, cfg.resolved_tol(False)),
+                             threshold=cfg.fit_threshold,
+                             restarts=cfg.fit_restarts, seed=cfg.seed)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -230,8 +256,7 @@ def cmd_elide(args) -> int:
     circuit = parse_circuit(text)
     ancilla = args.ancilla if args.ancilla is not None else 0
     circuit = type(circuit)(circuit.width, circuit.gates, ancilla)
-    form = detect_hadamard_form(circuit)
-    reduced = elide_body(form.circuit, form.ancilla)
+    reduced = elide_body(circuit, detect_hadamard_form(circuit))
     dev = statevector_deviation(circuit, reduced)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -250,12 +275,7 @@ def cmd_elide(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _build_config(args)
-    grid = cfg.grid()
-    spec = cfg.ansatz()
-    ic = initial_condition_gaussian(grid, cfg.sigma)
-    sweep = SweepConfig(max(cfg.sweeps, 40), cfg.resolved_tol(False))
-    result = fit_initial_state(ic.psi, spec, sweep, threshold=cfg.fit_threshold,
-                               restarts=cfg.fit_restarts, seed=cfg.seed)
+    result = _fit(cfg, initial_condition_gaussian(cfg.grid(), cfg.sigma))
     out = cfg.out
     _write_csv(out / "fit_params.csv", ["index", "value"],
                list(enumerate(result.params)))
@@ -277,10 +297,7 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
     spec = cfg.ansatz()
     t_start = time.time()
     ic = initial_condition_gaussian(grid, cfg.sigma)
-    fit = fit_initial_state(ic.psi, spec,
-                            SweepConfig(40, cfg.resolved_tol(False)),
-                            threshold=cfg.fit_threshold,
-                            restarts=cfg.fit_restarts, seed=cfg.seed)
+    fit = _fit(cfg, ic)
     params = fit.params
     psi0 = np.real(ansatz_state(spec, params))
     state = FieldState(ic.lam, psi0, build_ansatz(spec, params))

@@ -14,8 +14,6 @@ S-dagger on the ancilla, and a closing H.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import Circuit, Gate, GateInstance
@@ -26,13 +24,8 @@ class NotHadamardForm(Exception):
     """Circuit does not have the literal H ... H sandwich structure."""
 
 
-@dataclass(frozen=True)
-class HadamardForm:
-    circuit: Circuit
-    ancilla: int
-
-
-def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm:
+def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> int:
+    """Ancilla index of ``c``'s Hadamard form; raises ``NotHadamardForm``."""
     if ancilla is None:
         ancilla = c.ancilla
     if ancilla is None:
@@ -60,7 +53,7 @@ def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> HadamardForm
         if not inst.controls:
             raise NotHadamardForm(
                 f"gate {i} is an uncontrolled register gate: {inst}")
-    return HadamardForm(c, ancilla)
+    return ancilla
 
 
 def elide_body(c: Circuit, ancilla: int) -> Circuit:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateInstance, dagger
+from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
 from .simulator import (ShotConfig, ancilla_expectation_z, density_expectation_z,
                         run_density, run_statevector, sample_from_expectation)
@@ -57,11 +57,9 @@ def adder_gates(spec: AdderSpec, qubits: list[int]) -> list[GateInstance]:
     if len(qubits) != spec.n:
         raise ValueError(f"expected {spec.n} qubits, got {len(qubits)}")
     lsb_first = list(reversed(qubits))
-    gates = [GateInstance(Gate.X, (), (lsb_first[0],))]
-    for j in range(1, spec.n):
-        controls = tuple(lsb_first[:j])
-        kind = Gate.CNOT if j == 1 else Gate.MCX
-        gates.append(GateInstance(kind, controls, (lsb_first[j],)))
+    gates = [GateInstance(controlled_kind(Gate.X, j), tuple(lsb_first[:j]),
+                          (lsb_first[j],))
+             for j in range(spec.n)]
     if spec.direction == "minus":
         gates.reverse()  # every staircase gate is self-inverse
     return gates
@@ -70,22 +68,6 @@ def adder_gates(spec: AdderSpec, qubits: list[int]) -> list[GateInstance]:
 # ---------------------------------------------------------------------------
 # Circuit assembly
 # ---------------------------------------------------------------------------
-
-def _wrap_with_ancilla(inst: GateInstance, ancilla: int) -> GateInstance:
-    if ancilla in inst.controls:
-        return inst
-    controls = (ancilla,) + inst.controls
-    gate = inst.gate
-    if gate is Gate.X:
-        gate = Gate.CNOT if len(controls) == 1 else Gate.MCX
-    elif gate is Gate.CNOT:
-        gate = Gate.MCX
-    elif gate is Gate.RY:
-        gate = Gate.CRY
-    elif gate not in (Gate.MCX, Gate.CRY, Gate.CU_ALT):
-        raise ValueError(f"no controlled form for body gate {gate.value}")
-    return GateInstance(gate, controls, inst.targets, inst.params)
-
 
 def _embedded_body(full_ansatz: Circuit, register_map: dict[int, int]) -> list[GateInstance]:
     """Re-index an ansatz circuit (ancilla 0, register 1..n) into a wider circuit."""
@@ -128,7 +110,9 @@ def build_gterm_circuit(kind: GTermKind, u_t: Circuit, u_lam: Circuit,
     body += _embedded_body(dagger(u_t), reg1)
 
     gates = [GateInstance(Gate.H, (), (0,))]
-    gates += [_wrap_with_ancilla(g, 0) for g in body]
+    # the embedded ansatz heads already carry the ancilla control
+    gates += [g if 0 in g.controls else g.with_controls((0,) + g.controls)
+              for g in body]
     if imaginary:
         gates.append(GateInstance(Gate.S_DAG, (), (0,)))
     gates.append(GateInstance(Gate.H, (), (0,)))

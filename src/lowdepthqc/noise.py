@@ -168,7 +168,7 @@ RECIPES = ("depol_only", "depol_plus_thermal")
 
 _NOISELESS = (Gate.RZ,)
 _ONE_QUBIT_NATIVE = (Gate.X, Gate.SX, Gate.R)
-_TWO_QUBIT_NATIVE = (Gate.ECR, Gate.RXX, Gate.RZZ, Gate.CZ)
+_TWO_QUBIT_NATIVE = (Gate.ECR, Gate.RXX)
 
 
 class NoiseModel:

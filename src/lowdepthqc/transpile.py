@@ -12,7 +12,7 @@ Any other kind raises ``CircuitError``.
 One walk over the circuit lowers each gate and emits native gates as it
 goes.  A 1-qubit unitary multiplies onto the pending 1-qubit product of
 its wire's current physical position.  A CNOT first routes (SC only: the
-target walks next to the control by neighbor SWAPs, each three CNOTs),
+target walks next to the control by neighbor swaps, each three CNOTs),
 then flushes the pending products of both wires in the native 1-qubit
 basis, emits the native entangler and leaves its fixed post-dressings
 pending.  Dressings follow from CX = (RZ(pi/2) x RX(-pi/2)) RZX(pi/2) up
@@ -239,17 +239,13 @@ class _Walk:
             self.toffoli(c1, c2, w)
 
 
-_ONE_QUBIT = (Gate.H, Gate.X, Gate.SX, Gate.S_DAG, Gate.RX, Gate.RY, Gate.RZ,
-              Gate.R)
-
-
 def decompose(c: Circuit, target: BasisTarget) -> Circuit:
     """Lower ``c`` to the native basis in one walk; tracks the routing
     permutation in ``metadata["final_positions"]``."""
     walk = _Walk(c, target)
     for inst in c.gates:
         g, ctr, tg, p = inst.gate, inst.controls, inst.targets, inst.params
-        if g in _ONE_QUBIT and not ctr:
+        if not ctr and g.n_targets == 1:
             walk.u(tg[0], _mat(g, *p))
         elif g in (Gate.CNOT, Gate.MCX):
             walk.mcx(ctr, tg[0])

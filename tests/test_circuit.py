@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lowdepthqc.circuit import (Circuit, CircuitError, CircuitSyntaxError,
-                                Gate, GateInstance, dagger, format_angle,
-                                gate_unitary, parse_circuit, serialize_circuit)
+                                Gate, GateInstance, controlled_kind, dagger,
+                                format_angle, gate_unitary, parse_circuit,
+                                serialize_circuit, target_matrix)
 
 from conftest import dense_unitary, random_circuit
 
@@ -34,9 +35,8 @@ def test_gate_unitaries_are_unitary(rng):
 
 
 def test_dagger_inverts_dense_unitary(rng):
-    gates = (Gate.H, Gate.X, Gate.RX, Gate.RY, Gate.RZ, Gate.R, Gate.RXX,
-             Gate.RZZ, Gate.CNOT, Gate.CZ, Gate.SWAP, Gate.MCX, Gate.CRY,
-             Gate.CU_ALT)
+    gates = (Gate.H, Gate.X, Gate.RY, Gate.RZ, Gate.R, Gate.RXX, Gate.CNOT,
+             Gate.MCX, Gate.CRY, Gate.CU_ALT)
     for _ in range(50):
         c = random_circuit(rng, 4, 8, gates=gates)
         u = dense_unitary(c)
@@ -97,3 +97,41 @@ def test_mcx_cnot_control_normalization():
     assert mcx.with_controls((0,)).gate is Gate.CNOT
     cnot = GateInstance(Gate.CNOT, (0,), (2,))
     assert cnot.with_controls((0, 1)).gate is Gate.MCX
+    assert cnot.with_controls(()).gate is Gate.X
+    x = GateInstance(Gate.X, (), (2,))
+    assert x.with_controls((0,)).gate is Gate.CNOT
+    assert x.with_controls((0, 1)).gate is Gate.MCX
+    cry = GateInstance(Gate.CRY, (0,), (1,), (0.3,))
+    assert cry.with_controls(()) == GateInstance(Gate.RY, (), (1,), (0.3,))
+    with pytest.raises(CircuitError):
+        GateInstance(Gate.CU_ALT, (0,), (1,), (0.3,)).with_controls(())
+
+
+def test_gate_table_arity():
+    assert len(Gate) == 13
+    assert Gate("cnot") is Gate.CNOT and Gate.CNOT.value == "cnot"
+    for g in Gate:
+        m = target_matrix(g, (0.1,) * g.n_params)
+        assert m.shape == (2 ** g.n_targets,) * 2, g
+        controls = tuple(range(g.base_controls))
+        targets = tuple(range(g.base_controls, g.base_controls + g.n_targets))
+        GateInstance(g, controls, targets, (0.1,) * g.n_params)
+        with pytest.raises(CircuitError):
+            GateInstance(g, controls, targets, (0.1,) * (g.n_params + 1))
+        with pytest.raises(CircuitError):
+            GateInstance(g, controls, targets + (9,), (0.1,) * g.n_params)
+        if g.base_controls:
+            with pytest.raises(CircuitError):
+                GateInstance(g, (), targets, (0.1,) * g.n_params)
+
+
+def test_control_count_rule():
+    for gate in (Gate.X, Gate.CNOT, Gate.MCX):
+        assert [controlled_kind(gate, k) for k in range(4)] == \
+            [Gate.X, Gate.CNOT, Gate.MCX, Gate.MCX]
+    for gate in (Gate.RY, Gate.CRY):
+        assert [controlled_kind(gate, k) for k in range(3)] == \
+            [Gate.RY, Gate.CRY, Gate.CRY]
+    others = set(Gate) - {Gate.X, Gate.CNOT, Gate.MCX, Gate.RY, Gate.CRY}
+    for gate in others:
+        assert all(controlled_kind(gate, k) is gate for k in range(3))

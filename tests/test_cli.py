@@ -123,10 +123,24 @@ def test_bad_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "y")]) == 2
 
 
-def test_unparseable_circuit_exits_2(tmp_path):
+def test_unparseable_circuit_exits_2(tmp_path, capsys):
     src = tmp_path / "junk.txt"
     src.write_text("not a circuit\n")
     assert main(["elide", str(src), "--out", str(tmp_path / "o")]) == 2
+    # a kind outside the vocabulary
+    src.write_text("qubits 3\nh -> 0\ncz 0 -> 1\nh -> 0\n")
+    assert main(["elide", str(src), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown gate 'cz'" in capsys.readouterr().err
+
+
+def test_fit_reports_the_state_run_starts_from(tmp_path):
+    model = ["-n", "4", "-d", "5", "--sweeps", "80"]
+    assert main(["fit", *model, "--out", str(tmp_path / "fit")]) == 0
+    assert main(["run", *model, "--steps", "0",
+                 "--out", str(tmp_path / "run")]) == 0
+    fit = json.loads((tmp_path / "fit" / "run.json").read_text())["summary"]
+    run = json.loads((tmp_path / "run" / "run.json").read_text())["summary"]
+    assert fit["infidelity"] == run["fit_infidelity"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -152,7 +166,11 @@ def _calibration_csv(path, columns, qubits=12):
     path.write_text("\n".join(rows) + "\n")
 
 
-def test_bad_noise_input_exits_2(tmp_path, capsys):
+def test_bad_noise_input_exits_2(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("bad noise input reached the initial-state fit")
+
+    monkeypatch.setattr("lowdepthqc.cli.fit_initial_state", no_fit)
     quick = ["noisy-run", "-n", "2", "-d", "1", "--steps", "1",
              "--sweeps", "1", "--shots", "10"]
     cfg = tmp_path / "recipe.yaml"

@@ -42,14 +42,13 @@ def test_elision_preserves_full_statevector(rng):
         n = int(rng.integers(2, 7))
         c = random_hadamard_form(rng, n, int(rng.integers(3, 20)),
                                  imaginary=bool(rng.integers(2)))
-        form = detect_hadamard_form(c)
-        reduced = elide_body(form.circuit, form.ancilla)
+        reduced = elide_body(c, detect_hadamard_form(c))
         assert statevector_deviation(c, reduced) <= 1e-10
 
 
 def test_elision_strips_only_double_controls(rng):
     c = random_hadamard_form(rng, 4, 12)
-    reduced = elide_body(c, detect_hadamard_form(c).ancilla)
+    reduced = elide_body(c, detect_hadamard_form(c))
     for a, b in zip(c.gates, reduced.gates):
         if len(a.controls) > 1 and 0 in a.controls:
             assert 0 not in b.controls
@@ -63,7 +62,7 @@ def test_detection_finds_imaginary_variant(rng):
     assert c.gates[-2].gate is Gate.S_DAG
     # accepted only as the closing S-dagger: one elsewhere in the body
     # targets the ancilla uncontrolled and is rejected
-    assert detect_hadamard_form(c).ancilla == 0
+    assert detect_hadamard_form(c) == 0
 
 
 def test_detection_rejects_missing_sandwich():
@@ -95,5 +94,5 @@ def test_ancilla_only_controls_are_kept():
     c = Circuit(2, (GateInstance(Gate.H, (), (0,)),
                     GateInstance(Gate.CNOT, (0,), (1,)),
                     GateInstance(Gate.H, (), (0,))), ancilla=0)
-    reduced = elide_body(c, detect_hadamard_form(c).ancilla)
+    reduced = elide_body(c, detect_hadamard_form(c))
     assert reduced.gates == c.gates

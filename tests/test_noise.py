@@ -249,8 +249,7 @@ def _partial_trace(rho, n, keep):
 def _random_native_circuit(rng, width, length):
     from conftest import random_circuit
 
-    gates = (Gate.X, Gate.SX, Gate.RZ, Gate.R, Gate.ECR, Gate.RXX,
-             Gate.RZZ)
+    gates = (Gate.X, Gate.SX, Gate.RZ, Gate.R, Gate.ECR, Gate.RXX)
     # leave the last qubit idle and end on a run of 1-qubit gates, so
     # that lazy allocation and skipped trailing gates are exercised
     c = random_circuit(rng, width - 1, length, gates)

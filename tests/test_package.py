@@ -4,10 +4,13 @@ A function, class or method whose name appears nowhere else in
 ``src/lowdepthqc`` is reached, if at all, only from tests, and a check on
 it says nothing about the path a run takes.  The few kept on purpose are
 independent references that tests and the benchmark compare the live
-code against; each is listed with its reason.
+code against; each is listed with its reason.  Likewise every gate kind
+is named by some module besides ``circuit.py``.
 """
 import ast
 from pathlib import Path
+
+from lowdepthqc.circuit import Gate
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lowdepthqc"
 
@@ -57,3 +60,18 @@ def test_every_definition_has_a_caller_in_the_package():
                 and name not in used and name not in KEPT_REFERENCES]
     assert not uncalled, "defined but never used in src/lowdepthqc: " + \
         ", ".join(uncalled)
+
+
+def test_every_gate_kind_is_named_outside_circuit():
+    """A kind that only ``circuit.py`` names is one that no circuit builds,
+    lowers or emits."""
+    named = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "circuit.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and node.value.id == "Gate":
+                named.add(node.attr)
+    unused = [g.name for g in Gate if g.name not in named]
+    assert not unused, "gate kinds named only in circuit.py: " + ", ".join(unused)
