@@ -66,7 +66,6 @@ class ExperimentConfig:
     fit_threshold: float = 1e-4
     fit_restarts: int = 8
     sweeps: int = 10
-    tol: float | None = None          # 1e-8 exact, 1e-4 noisy; unused with shots
     shots: int | None = None
     profile: str | None = None
     profile_csv: str | None = None
@@ -86,11 +85,6 @@ class ExperimentConfig:
 
     def ansatz(self) -> AnsatzSpec:
         return AnsatzSpec(self.n, self.depth, self.variant, self.head)
-
-    def resolved_tol(self, stochastic: bool) -> float:
-        if self.tol is not None:
-            return self.tol
-        return 1e-4 if stochastic else 1e-8
 
 
 @dataclass
@@ -221,13 +215,8 @@ def _check_couplings(cfg: ExperimentConfig, model: NoiseModel) -> None:
         raise ConfigError(f"profile does not cover the circuits: {exc}") from None
 
 
-_FIT_SWEEPS = 40  # every initial-state fit, so `fit` reports what `run` starts from
-
-
 def _fit(cfg: ExperimentConfig, ic):
-    return fit_initial_state(ic.psi, cfg.ansatz(),
-                             SweepConfig(_FIT_SWEEPS, cfg.resolved_tol(False)),
-                             threshold=cfg.fit_threshold,
+    return fit_initial_state(ic.psi, cfg.ansatz(), threshold=cfg.fit_threshold,
                              restarts=cfg.fit_restarts, seed=cfg.seed)
 
 
@@ -303,8 +292,7 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
     state = FieldState(ic.lam, psi0, build_ansatz(spec, params))
     classical = classical_trajectory(grid, ic.velocity, cfg.steps)
 
-    stochastic = mode.shots is not None or mode.noise is not None
-    sweep = SweepConfig(cfg.sweeps, cfg.resolved_tol(stochastic), mode)
+    sweep = SweepConfig(cfg.sweeps, mode)
     series = []
     traces = []
     snapshots = {}
@@ -467,18 +455,22 @@ def _add_common(p: argparse.ArgumentParser):
                    default=None, help="exit 3 when an acceptance threshold is missed")
 
 
-def _add_model(p: argparse.ArgumentParser):
-    p.add_argument("-n", type=int, default=None, dest="n")
-    p.add_argument("-d", type=int, default=None, dest="d")
-    p.add_argument("--variant", choices=[v.value for v in Variant], default=None)
-    p.add_argument("--head", choices=[h.value for h in Head], default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--sweeps", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--snapshots", type=float, nargs="*", default=None)
+_MODEL_FLAGS = {
+    "n": {"type": int}, "d": {"type": int},
+    "variant": {"choices": [v.value for v in Variant]},
+    "head": {"choices": [h.value for h in Head]},
+    "nu": {"type": float}, "tau": {"type": float}, "sigma": {"type": float},
+    "steps": {"type": int}, "sweeps": {"type": int}, "shots": {"type": int},
+    "snapshots": {"type": float, "nargs": "*"},
+}
+
+
+def _add_model(p: argparse.ArgumentParser, *keys: str):
+    """Flags for the config keys ``keys``, or for all model keys: each
+    subcommand takes only the flags it reads."""
+    for key in keys or _MODEL_FLAGS:
+        flag = "-" + key if len(key) == 1 else "--" + key
+        p.add_argument(flag, dest=key, default=None, **_MODEL_FLAGS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_elide)
 
     p = sub.add_parser("fit", help="fit the ansatz to the Gaussian profile")
-    _add_common(p); _add_model(p)
+    _add_common(p); _add_model(p, "n", "d", "variant", "head", "sigma")
     p.add_argument("--fit-threshold", type=float, default=None, dest="fit_threshold")
     p.set_defaults(func=cmd_fit)
 
@@ -518,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gatecount)
 
     p = sub.add_parser("classical", help="classical reference trajectory")
-    _add_common(p); _add_model(p)
+    _add_common(p); _add_model(p, "n", "nu", "tau", "sigma", "steps")
     p.set_defaults(func=cmd_classical)
     return ap
 

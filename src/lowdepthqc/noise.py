@@ -47,10 +47,14 @@ class DeviceCalibration:
     default_2q_error: float | None = None
 
     def __post_init__(self):
-        for q in self.qubits:
-            for p in (q.p01, q.p10):
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"readout probability out of range: {p}")
+        rates = [*self.pair_errors.values(), self.default_2q_error or 0.0]
+        for i, q in enumerate(self.qubits):
+            if not (q.t1 > 0 and q.t2 > 0):
+                raise ValueError(f"qubit {i} needs t1, t2 > 0, got {q.t1}, {q.t2}")
+            rates += (q.p01, q.p10, q.err_1q)
+        for p in rates:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"error rate out of range: {p}")
 
     def qubit(self, q: int) -> QubitCalibration:
         if not 0 <= q < len(self.qubits):
@@ -301,20 +305,23 @@ def builtin_profiles() -> dict[str, DeviceCalibration]:
 def load_calibration_csv(path: str, name: str | None = None) -> DeviceCalibration:
     """Table-shaped CSV: one row per qubit with columns qubit, t1, t2,
     p01, p10, err_1q, and optional pair_a, pair_b, err_2q columns adding
-    one coupling per row.  A missing column or an unreadable value raises
-    ValueError."""
-    qubits: dict[int, QubitCalibration] = {}
+    one coupling per row.  A missing column, an unreadable value, or
+    qubit indices that are not 0, 1, ... each once raise ValueError."""
+    qubits: list[tuple[int, QubitCalibration]] = []
     pairs: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
         try:
             for row in csv.DictReader(fh):
-                q = int(row["qubit"])
-                qubits[q] = QubitCalibration(
+                qubits.append((int(row["qubit"]), QubitCalibration(
                     float(row["t1"]), float(row["t2"]),
-                    float(row["p01"]), float(row["p10"]), float(row["err_1q"]))
+                    float(row["p01"]), float(row["p10"]), float(row["err_1q"]))))
                 if row.get("pair_a") not in (None, ""):
                     pairs[(int(row["pair_a"]), int(row["pair_b"]))] = float(row["err_2q"])
         except KeyError as exc:
             raise ValueError(f"{path} has no column {exc}") from None
-    ordered = tuple(qubits[i] for i in sorted(qubits))
-    return DeviceCalibration(name or path, ordered, pairs)
+    qubits.sort(key=lambda row: row[0])
+    indices = [q for q, _ in qubits]
+    if indices != list(range(len(qubits))):
+        raise ValueError(f"{path} needs one row for each of qubits "
+                         f"0..{len(qubits) - 1}, got qubits {indices}")
+    return DeviceCalibration(name or path, tuple(c for _, c in qubits), pairs)

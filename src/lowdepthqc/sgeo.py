@@ -17,6 +17,10 @@ a + b cos(l/2) + c sin(l/2), so the optimum over the domain
 [-pi - pi/32, pi] lies at 2 atan2(c, b), one of its antipodes or an
 endpoint, and costs no further quantum evaluations.
 
+One driver, ``_descend``, sweeps these updates for both callers, which
+differ only in their bracket: ``optimize_step`` estimates the Burgers
+bracket, and ``fit_initial_state`` takes the overlap with its target.
+
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
 reasons (measured on aqt-ibex, n=3, d=3, cu_alt, without shots):
@@ -64,12 +68,16 @@ def reconstruct_bracket(sums: tuple[float, float, float], lam: float) -> float:
 @dataclass(frozen=True)
 class SweepConfig:
     sweeps: int = 10
-    tol: float = 1e-8
     mode: EstimatorMode = field(default_factory=EstimatorMode.exact)
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError(f"need sweeps >= 1, got {self.sweeps}")
+
+    @property
+    def tol(self) -> float:
+        """Least gain in a sweep's best cost that earns another sweep."""
+        return 1e-4 if self.mode.noise is not None else 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,6 @@ class TraceEntry:
 class OptimizeResult:
     params: tuple[float, ...]
     cost: float
-    bracket: float
     trace: tuple[TraceEntry, ...]
 
 
@@ -125,61 +132,63 @@ def _slice_optimum(sums: tuple[float, float, float],
     return best, -s * s
 
 
-def _best_of_last(entries: list[tuple[tuple[float, ...], float, float]],
-                  window: int = 5):
-    """The retained iterate is the best of the last few coordinate updates,
-    a guard against a shot-noise stumble on the final coordinate."""
-    tail = entries[-window:]
-    return min(tail, key=lambda e: e[1])
-
-
-def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
-                  lam_init, cfg: SweepConfig) -> OptimizeResult:
-    """One variational time step: coordinate descent over all parameters.
-
-    Each update maximizes the bracket on the branch that keeps the sign of
-    ``prev.lam``: the cost -S^2 cannot tell a state from its negation, and
-    the next Lambda is the signed bracket.  With a sampled estimator every
-    one of ``cfg.sweeps`` sweeps runs, and each parameter's update uses
-    the running mean of its slice over the sweeps so far, so the shot
-    noise of the final angles falls with the number of sweeps instead of
-    staying at that of the last sweep's draw.
-    """
-    params = tuple(float(v) for v in lam_init)
-    if len(params) != spec.parameter_count:
-        raise ValueError(
-            f"expected {spec.parameter_count} parameters, got {len(params)}")
-    sign = 1.0 if prev.lam >= 0 else -1.0
+def _descend(params: tuple[float, ...], bracket, cfg: SweepConfig,
+             sign: float | None = None):
+    """Coordinate descent from ``params`` on the bracket S = ``bracket(p)``:
+    maximizes S^2, or sign * S with ``sign``, until a sweep's best cost
+    gains less than ``cfg.tol``.  A sampled run does every sweep, each
+    update on the running mean of its slice so far, so the shot noise of
+    the final angles falls with the sweeps.  Returns the iterates as
+    (params, cost), and the trace."""
     sampled = cfg.mode.shots is not None
     slices: dict[int, tuple[float, float, float]] = {}
     trace: list[TraceEntry] = []
-    iterates: list[tuple[tuple[float, ...], float, float]] = []
+    iterates: list[tuple[tuple[float, ...], float]] = []
     prev_best = math.inf
     for sweep in range(cfg.sweeps):
+        sweep_best = math.inf
         for j in range(len(params)):
-            sums = tuple(
-                sum(gterm_values(grid, prev,
-                                 build_ansatz(spec, bind_parameter(params, j, b)),
-                                 cfg.mode))
-                for b in _BINDINGS)
+            sums = tuple(bracket(bind_parameter(params, j, b)) for b in _BINDINGS)
             if sampled:
                 mean = slices.get(j, sums)
                 sums = tuple(m + (x - m) / (sweep + 1)
                              for m, x in zip(mean, sums))
                 slices[j] = sums
-            best_lam, best_cost = _slice_optimum(sums, sign)
-            params = bind_parameter(params, j, best_lam)
-            bracket = reconstruct_bracket(sums, best_lam)
-            trace.append(TraceEntry(sweep, j, best_lam, best_cost))
-            iterates.append((params, best_cost, bracket))
-        if sampled:
-            continue
-        sweep_best = min(e.cost for e in trace if e.sweep == sweep)
-        if prev_best - sweep_best < cfg.tol:
+            lam, cost = _slice_optimum(sums, sign)
+            params = bind_parameter(params, j, lam)
+            trace.append(TraceEntry(sweep, j, lam, cost))
+            iterates.append((params, cost))
+            sweep_best = min(sweep_best, cost)
+        if not sampled and prev_best - sweep_best < cfg.tol:
             break
         prev_best = sweep_best
-    final_params, final_cost, final_bracket = _best_of_last(iterates)
-    return OptimizeResult(final_params, final_cost, final_bracket, tuple(trace))
+    return iterates, trace
+
+
+def _best_of_last(iterates: list[tuple[tuple[float, ...], float]]):
+    """The best of the last five coordinate updates, a guard against a
+    shot-noise stumble on the final coordinate."""
+    return min(iterates[-5:], key=lambda e: e[1])
+
+
+def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
+                  lam_init, cfg: SweepConfig) -> OptimizeResult:
+    """One variational time step on the bracket that ``cfg.mode`` estimates.
+
+    Each update keeps the sign of ``prev.lam``: the cost -S^2 cannot tell a
+    state from its negation, and the next Lambda is the signed bracket.
+    """
+    params = tuple(float(v) for v in lam_init)
+    if len(params) != spec.parameter_count:
+        raise ValueError(
+            f"expected {spec.parameter_count} parameters, got {len(params)}")
+
+    def bracket(p):
+        return sum(gterm_values(grid, prev, build_ansatz(spec, p), cfg.mode))
+
+    sign = 1.0 if prev.lam >= 0 else -1.0
+    iterates, trace = _descend(params, bracket, cfg, sign)
+    return OptimizeResult(*_best_of_last(iterates), tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +202,11 @@ class FitResult:
     reached_threshold: bool
 
 
-def _overlap_bracket(target: np.ndarray, spec: AnsatzSpec, params) -> float:
-    return float(np.real(np.vdot(target, ansatz_state(spec, params))))
-
-
 def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
-                      cfg: SweepConfig | None = None,
                       threshold: float = 1e-6, restarts: int = 8,
                       seed: int = 0) -> FitResult:
-    """SGEO against the pure-overlap cost C = -[Re<target|psi(lambda)>]^2.
+    """Descents of up to 40 sweeps on S = Re<target|psi(lambda)>, each
+    keeping its last iterate, from zero angles and then random restarts.
 
     Exact statevector overlaps throughout; state preparation happens
     before any hardware run, so sampling it buys nothing.  Failing the
@@ -210,7 +215,10 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape != (1 << spec.n,):
         raise ValueError(f"target has dim {target.shape}, expected {1 << spec.n}")
-    cfg = cfg or SweepConfig(sweeps=40)
+
+    def bracket(p):
+        return float(np.real(np.vdot(target, ansatz_state(spec, p))))
+
     rng = np.random.default_rng(seed)
     best: FitResult | None = None
     for attempt in range(restarts):
@@ -218,17 +226,8 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
             params = tuple(0.0 for _ in range(spec.parameter_count))
         else:
             params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-        prev_cost = math.inf
-        for _ in range(cfg.sweeps):
-            for j in range(len(params)):
-                sums = tuple(
-                    _overlap_bracket(target, spec, bind_parameter(params, j, b))
-                    for b in _BINDINGS)
-                lam, cost = _slice_optimum(sums)
-                params = bind_parameter(params, j, lam)
-            if prev_cost - cost < cfg.tol:
-                break
-            prev_cost = cost
+        iterates, _ = _descend(params, bracket, SweepConfig(sweeps=40))
+        params = iterates[-1][0]
         err = infidelity(ansatz_state(spec, params), target)
         if best is None or err < best.infidelity:
             best = FitResult(params, err, err <= threshold)

@@ -114,7 +114,7 @@ def test_bad_config_exits_2(tmp_path):
     bad.write_text("bogus_key: 1\n")
     assert main(["run", "--config", str(bad)]) == 2
     for text in ("variant: nope\n", "steps: abc\n", "nu: fast\n",
-                 "snapshots: 0.5\n"):
+                 "snapshots: 0.5\n", "tol: 1e-3\n"):
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 2, text
     assert main(["noisy-run", "-n", "2", "-d", "1",
@@ -134,9 +134,9 @@ def test_unparseable_circuit_exits_2(tmp_path, capsys):
 
 
 def test_fit_reports_the_state_run_starts_from(tmp_path):
-    model = ["-n", "4", "-d", "5", "--sweeps", "80"]
+    model = ["-n", "4", "-d", "5"]
     assert main(["fit", *model, "--out", str(tmp_path / "fit")]) == 0
-    assert main(["run", *model, "--steps", "0",
+    assert main(["run", *model, "--sweeps", "80", "--steps", "0",
                  "--out", str(tmp_path / "run")]) == 0
     fit = json.loads((tmp_path / "fit" / "run.json").read_text())["summary"]
     run = json.loads((tmp_path / "run" / "run.json").read_text())["summary"]
@@ -156,11 +156,33 @@ def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     assert not out.exists()
 
 
-def _calibration_csv(path, columns, qubits=12):
+@pytest.mark.parametrize("argv", [
+    ["fit", "--nu", "0.01"],
+    ["fit", "--tau", "0.1"],
+    ["fit", "--steps", "3"],
+    ["fit", "--sweeps", "1"],
+    ["fit", "--shots", "5"],
+    ["fit", "--snapshots", "0.1"],
+    ["classical", "-d", "2"],
+    ["classical", "--variant", "cry"],
+    ["classical", "--head", "x"],
+    ["classical", "--sweeps", "1"],
+    ["classical", "--shots", "5"],
+    ["classical", "--snapshots", "0.1"],
+])
+def test_flag_the_subcommand_ignores_exits_2(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def _calibration_csv(path, columns, qubits=range(12), **values):
     values = {"t1": "200", "t2": "150", "p01": "0.01", "p10": "0.02",
-              "err_1q": "0.0003"}
+              "err_1q": "0.0003", **values}
     rows = [",".join(columns)]
-    for q in range(qubits):
+    for q in qubits:
         rows.append(",".join(str(q) if c == "qubit" else values[c]
                              for c in columns))
     path.write_text("\n".join(rows) + "\n")
@@ -193,3 +215,20 @@ def test_bad_noise_input_exits_2(tmp_path, capsys, monkeypatch):
     assert main(quick + ["--profile-csv", str(no_pairs),
                          "--out", str(tmp_path / "pairs")]) == 2
     assert "has no 2q error for pair" in capsys.readouterr().err
+
+    # each calibration must reach the qubit it names, with physical values
+    full = ["qubit", "t1", "t2", "p01", "p10", "err_1q"]
+    thermal = quick + ["--recipe", "depol_plus_thermal"]
+    for tag, qubits, values, message in (
+            ("gap", [0, 2], {}, "qubits 0..1, got qubits [0, 2]"),
+            ("twice", [0, 1, 1], {}, "qubits 0..2, got qubits [0, 1, 1]"),
+            ("t1", range(12), {"t1": "0"}, "needs t1, t2 > 0"),
+            ("t2", range(12), {"t2": "-5"}, "needs t1, t2 > 0"),
+            ("err_1q", range(12), {"err_1q": "-0.1"}, "error rate out of range")):
+        path = tmp_path / f"{tag}.csv"
+        _calibration_csv(path, full, qubits, **values)
+        out = tmp_path / tag
+        assert main(thermal + ["--profile-csv", str(path),
+                               "--out", str(out)]) == 2, tag
+        assert message in capsys.readouterr().err, tag
+        assert not out.exists()
