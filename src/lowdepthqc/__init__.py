@@ -2,10 +2,10 @@
 
 from .ansatz import (AnsatzSpec, BaselineSpec, Head, Variant, ansatz_state,
                      build_ansatz, build_baseline, register_circuit)
-from .burgers import (BurgersGrid, CostCoefficients, FieldState,
-                      bracket_oracle, classical_step, classical_trajectory,
-                      cost_bracket, evaluate_cost_direct, gterm_values,
-                      infidelity, initial_condition_gaussian, step_matrix)
+from .burgers import (FAMILIES, BurgersGrid, FieldState, bracket_oracle,
+                      bracket_weights, classical_step, classical_trajectory,
+                      evaluate_cost_direct, gterm_values, infidelity,
+                      initial_condition_gaussian, step_matrix)
 from .circuit import (Circuit, CircuitError, CircuitSyntaxError, Gate,
                       GateInstance, dagger, gate_unitary, parse_circuit,
                       serialize_circuit)
@@ -18,8 +18,7 @@ from .noise import (DeviceCalibration, NoiseModel, QubitCalibration,
                     amplitude_damping, builtin_profiles, dephasing,
                     load_calibration_csv)
 from .sgeo import (FitResult, OptimizeResult, SweepConfig, TraceEntry,
-                   fit_initial_state, optimize_step, reconstruct_bracket,
-                   reconstruction_coeffs)
+                   fit_initial_state, optimize_step, reconstruct_bracket)
 from .simulator import (ShotConfig, ancilla_expectation_z, density_expectation_z,
                         run_density, run_statevector, sample_from_expectation)
 from .transpile import (BasisTarget, GateCountReport, count_report, decompose,

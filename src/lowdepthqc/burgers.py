@@ -1,4 +1,4 @@
-"""Viscous Burgers' equation on a periodic grid, quantum-state encoded.
+"""Viscous Burgers' equation on a periodic grid of [0, 1), quantum-state encoded.
 
 The velocity field u is carried as u = Lambda * psi with psi a normalized
 (real) state of n qubits.  One explicit-Euler step with central
@@ -9,12 +9,13 @@ differences is the matrix
 where A is the cyclic shift with (A psi)_k = psi_{k+1}, D = diag(psi),
 l1 = Lambda*tau*nu / (2 dx^2) and l2 = Lambda^2*tau / (2 dx).  The
 variational step minimizes the negated squared projection of that target
-onto the ansatz state,
+onto the ansatz state, C(lambda) = -S^2, where the bracket
 
-    C(lambda) = -[G1 + G2 + G3]^2,
+    S = sum_f w_f <Z>_f
 
-whose three brackets are exactly the quantities the Hadamard-test
-circuits measure.  The signed bracket at the optimum is the next Lambda.
+runs over the five Hadamard-test ``FAMILIES`` (overlap, shift+/-,
+shift_diag+/-) with the signed weights of ``bracket_weights``.  The
+signed bracket at the optimum is the next Lambda.
 """
 from __future__ import annotations
 
@@ -32,14 +33,10 @@ class BurgersGrid:
     n: int
     tau: float
     nu: float
-    a: float = 0.0
-    b: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.b <= self.a:
-            raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
         if self.tau <= 0 or self.nu < 0:
             raise ValueError(f"need tau > 0 and nu >= 0, got {self.tau}, {self.nu}")
 
@@ -49,11 +46,11 @@ class BurgersGrid:
 
     @property
     def delta_x(self) -> float:
-        return (self.b - self.a) / self.points
+        return 1 / self.points
 
     @property
     def xs(self) -> np.ndarray:
-        return self.a + self.delta_x * np.arange(self.points)
+        return self.delta_x * np.arange(self.points)
 
 
 @dataclass(frozen=True)
@@ -81,27 +78,25 @@ class FieldState:
         return self.lam * self.psi
 
 
-@dataclass(frozen=True)
-class CostCoefficients:
-    l1: float
-    l2: float
-
-    @classmethod
-    def for_state(cls, grid: BurgersGrid, lam: float) -> "CostCoefficients":
-        dx = grid.delta_x
-        return cls(l1=lam * grid.tau * grid.nu / (2 * dx * dx),
-                   l2=lam * lam * grid.tau / (2 * dx))
+# The five estimator families of the bracket, in the order of their weights.
+FAMILIES = ((GTermKind.OVERLAP, "plus"),
+            (GTermKind.SHIFT, "plus"), (GTermKind.SHIFT, "minus"),
+            (GTermKind.SHIFT_DIAG, "plus"), (GTermKind.SHIFT_DIAG, "minus"))
 
 
-def initial_condition_gaussian(grid: BurgersGrid, sigma: float,
-                               center: float | None = None,
-                               amplitude: float = 1.0) -> FieldState:
-    """Unit-height Gaussian bump, centered mid-domain by default."""
+def bracket_weights(grid: BurgersGrid, lam: float) -> tuple[float, ...]:
+    """Signed weights (Lambda - 2 l1, l1, l1, l2, -l2) of the ``FAMILIES``."""
+    dx = grid.delta_x
+    l1 = lam * grid.tau * grid.nu / (2 * dx * dx)
+    l2 = lam * lam * grid.tau / (2 * dx)
+    return (lam - 2 * l1, l1, l1, l2, -l2)
+
+
+def initial_condition_gaussian(grid: BurgersGrid, sigma: float) -> FieldState:
+    """Unit-height Gaussian bump centered mid-domain."""
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if center is None:
-        center = 0.5 * (grid.a + grid.b)
-    u = amplitude * np.exp(-((grid.xs - center) ** 2) / (2 * sigma * sigma))
+    u = np.exp(-((grid.xs - 0.5) ** 2) / (2 * sigma * sigma))
     lam = float(np.linalg.norm(u))
     return FieldState(lam, u / lam)
 
@@ -122,10 +117,10 @@ def step_matrix(grid: BurgersGrid, state: FieldState) -> np.ndarray:
     dim = grid.points
     ap = adder_matrix(AdderSpec(grid.n, "plus"))
     am = ap.T
-    c = CostCoefficients.for_state(grid, state.lam)
+    _, l1, _, l2, _ = bracket_weights(grid, state.lam)
     d = np.diag(state.psi)
-    return (state.lam * np.eye(dim) + c.l1 * (ap + am - 2 * np.eye(dim))
-            - c.l2 * d @ (ap - am))
+    return (state.lam * np.eye(dim) + l1 * (ap + am - 2 * np.eye(dim))
+            - l2 * d @ (ap - am))
 
 
 def classical_trajectory(grid: BurgersGrid, u0: np.ndarray,
@@ -143,62 +138,46 @@ def classical_trajectory(grid: BurgersGrid, u0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def gterm_values(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
-                 mode: EstimatorMode) -> tuple[float, float, float]:
-    """(G1, G2, G3) of the cost bracket, via five Hadamard-test estimates.
+                 mode: EstimatorMode) -> float:
+    """The bracket S, one Hadamard-test estimate per family of nonzero weight.
 
     A sampled ``mode`` spends ``5 * mode.shots`` shots on the five
-    circuits together, split by the magnitude of each circuit's
-    coefficient in the bracket (see ``family_shots``).
+    circuits together, split by the magnitude of each family's weight
+    (see ``family_shots``).
     """
     if prev.circuit is None:
         raise ValueError("previous state carries no preparation circuit")
-    u_t = prev.circuit
-    c = CostCoefficients.for_state(grid, prev.lam)
-    shots = iter(family_shots(grid, prev, mode.shots))
-
-    def est(kind, direction="plus"):
-        count = next(shots)
-        if count == 0:   # zero coefficient: the term drops out of the bracket
-            return 0.0
-        circ = build_gterm_circuit(kind, u_t, u_lam, direction=direction)
-        return mode.evaluate(circ, shots=count)
-
-    g1 = (prev.lam - 2 * c.l1) * est(GTermKind.OVERLAP)
-    g2 = c.l1 * (est(GTermKind.SHIFT, "plus") + est(GTermKind.SHIFT, "minus"))
-    g3 = c.l2 * (est(GTermKind.SHIFT_DIAG, "plus")
-                 - est(GTermKind.SHIFT_DIAG, "minus"))
-    return (g1, g2, g3)
+    s = 0.0
+    for (kind, direction), weight, count in zip(
+            FAMILIES, bracket_weights(grid, prev.lam),
+            family_shots(grid, prev, mode.shots)):
+        if weight == 0:   # the family drops out of the bracket
+            continue
+        circ = build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
+        s += weight * mode.evaluate(circ, shots=count)
+    return s
 
 
 def family_shots(grid: BurgersGrid, prev: FieldState,
                  shots: int | None) -> tuple[int | None, ...]:
-    """Shots for the overlap, shift+/-, shift_diag+/- circuits of one binding.
+    """Shots for each of the ``FAMILIES`` at one binding.
 
-    The bracket weights the five estimates by |Lambda - 2 l1|, |l1|, |l1|,
-    |l2|, |l2|.  For equal per-shot variances, the split of a fixed budget
-    that minimizes the bracket's shot-noise variance is proportional to
-    those weights, so ``5 * shots`` is apportioned that way and ``shots``
-    stays the mean per circuit.  ``None`` (no sampling) passes through.
+    For equal per-shot variances, the split of a fixed budget that
+    minimizes the bracket's shot-noise variance is proportional to the
+    weight magnitudes, so ``5 * shots`` is apportioned that way and
+    ``shots`` stays the mean per circuit.  ``None`` (no sampling) passes
+    through.
     """
     if shots is None:
-        return (None,) * 5
-    c = CostCoefficients.for_state(grid, prev.lam)
-    return apportion_shots(5 * shots,
-                           (prev.lam - 2 * c.l1, c.l1, c.l1, c.l2, c.l2))
-
-
-def cost_bracket(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
-                 mode: EstimatorMode) -> float:
-    return sum(gterm_values(grid, prev, u_lam, mode))
+        return (None,) * len(FAMILIES)
+    return apportion_shots(len(FAMILIES) * shots,
+                           bracket_weights(grid, prev.lam))
 
 
 def evaluate_cost_direct(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
                          mode: EstimatorMode | None = None) -> float:
-    """C = -[G1 + G2 + G3]^2; exact mode when no estimator is given."""
-    if mode is None:
-        mode = EstimatorMode.exact()
-    s = cost_bracket(grid, prev, u_lam, mode)
-    return -s * s
+    """C = -S^2; exact mode when no estimator is given."""
+    return -gterm_values(grid, prev, u_lam, mode or EstimatorMode.exact()) ** 2
 
 
 def bracket_oracle(grid: BurgersGrid, prev: FieldState,

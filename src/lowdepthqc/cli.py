@@ -59,12 +59,9 @@ class ExperimentConfig:
     head: Head = Head.RY
     nu: float = 1e-3
     tau: float | None = None          # defaults to delta_x / 10
-    a: float = 0.0
-    b: float = 1.0
     steps: int = 40
     sigma: float = 0.3
     fit_threshold: float = 1e-4
-    fit_restarts: int = 8
     sweeps: int = 10
     shots: int | None = None
     profile: str | None = None
@@ -79,9 +76,9 @@ class ExperimentConfig:
         return self.d if self.d is not None else 2 * self.n - 3
 
     def grid(self) -> BurgersGrid:
-        dx = (self.b - self.a) / (1 << self.n)
+        dx = 1 / (1 << self.n)
         tau = self.tau if self.tau is not None else dx / 10
-        return BurgersGrid(self.n, tau, self.nu, self.a, self.b)
+        return BurgersGrid(self.n, tau, self.nu)
 
     def ansatz(self) -> AnsatzSpec:
         return AnsatzSpec(self.n, self.depth, self.variant, self.head)
@@ -141,10 +138,14 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(
             f"unknown recipe {cfg.recipe!r}; available: {list(RECIPES)}")
     try:
-        cfg.grid()
+        tau = cfg.grid().tau
         cfg.ansatz()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for t in cfg.snapshots:
+        if not (math.isfinite(t) and 0 <= round(t / tau) <= cfg.steps):
+            raise ConfigError(f"snapshot time {t:g} is not a step of the run "
+                              f"(t = 0..{cfg.steps * tau:g} in steps of {tau:g})")
     return cfg
 
 
@@ -217,7 +218,7 @@ def _check_couplings(cfg: ExperimentConfig, model: NoiseModel) -> None:
 
 def _fit(cfg: ExperimentConfig, ic):
     return fit_initial_state(ic.psi, cfg.ansatz(), threshold=cfg.fit_threshold,
-                             restarts=cfg.fit_restarts, seed=cfg.seed)
+                             seed=cfg.seed)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -295,7 +296,6 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
     sweep = SweepConfig(cfg.sweeps, mode)
     series = []
     traces = []
-    snapshots = {}
     fmap = {}
 
     def record(step: int, st: FieldState, cost: float):
@@ -321,10 +321,8 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
         for e in res.trace:
             traces.append((step, e.sweep, e.param_index, e.value, e.cost))
 
-    for t_snap in cfg.snapshots:
-        step = round(t_snap / grid.tau)
-        if 0 <= step <= cfg.steps:
-            snapshots[step] = fmap.get(step)
+    snapshots = {step: fmap[step]
+                 for step in (round(t / grid.tau) for t in cfg.snapshots)}
 
     worst = max(row[2] for row in series)
     final = series[-1]
@@ -348,7 +346,7 @@ def _emit_dynamics(cfg: ExperimentConfig, grid, classical, series, traces,
     rows = []
     for step, st in sorted(snapshots.items()):
         u_cl = classical[step]
-        u_vqa = st.lam * st.psi if st is not None else np.full(grid.points, np.nan)
+        u_vqa = st.velocity
         for k in range(grid.points):
             rows.append((step, step * grid.tau, k, grid.xs[k],
                          float(u_cl[k]), float(u_vqa[k])))

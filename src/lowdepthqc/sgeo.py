@@ -3,19 +3,17 @@
 Every gate carrying a parameter here (RY, controlled-RY and the
 single-CNOT controlled block) has matrix entries affine in
 {1, cos(lambda/2), sin(lambda/2)}, so the cost bracket along any single
-parameter is determined by its values at the three bindings
-{0, pi, 2pi}:
+parameter is
 
-    S(lambda) = c0(lambda) S(0) + cpi(lambda) S(pi) + c2pi(lambda) S(2pi)
+    S(lambda) = a + b cos(lambda/2) + c sin(lambda/2),
 
-with c0 = (1 + cos(l/2) - sin(l/2))/2, cpi = sin(l/2) and
-c2pi = (1 - cos(l/2) - sin(l/2))/2.  Fifteen circuit estimates per
-parameter (the five estimator families at each of the three bindings)
-therefore buy the whole 1-D cost slice in closed form.  Its optimum is
-closed-form too, as in Rotosolve and NFT: the slice is
-a + b cos(l/2) + c sin(l/2), so the optimum over the domain
-[-pi - pi/32, pi] lies at 2 atan2(c, b), one of its antipodes or an
-endpoint, and costs no further quantum evaluations.
+and its values at the three bindings {0, pi, 2pi} fix the coefficients:
+a = (S(0) + S(2pi))/2, b = (S(0) - S(2pi))/2 and c = S(pi) - a.
+Fifteen circuit estimates per parameter (the five estimator families at
+each of the three bindings) therefore buy the whole 1-D cost slice in
+closed form.  Its optimum is closed-form too, as in Rotosolve and NFT:
+over the domain [-pi - pi/32, pi] it lies at 2 atan2(c, b), one of its
+antipodes or an endpoint, and costs no further quantum evaluations.
 
 One driver, ``_descend``, sweeps these updates for both callers, which
 differ only in their bracket: ``optimize_step`` estimates the Burgers
@@ -50,19 +48,21 @@ from .burgers import BurgersGrid, FieldState, gterm_values, infidelity
 from .hadamard import EstimatorMode
 
 _BINDINGS = (0.0, math.pi, 2 * math.pi)
+# Descents of the initial fit: one from zero angles, then random restarts.
+_FIT_RESTARTS = 8
 
 
-def reconstruction_coeffs(lam: float) -> tuple[float, float, float]:
-    c = math.cos(lam / 2)
-    s = math.sin(lam / 2)
-    return (0.5 * (1 + c - s), s, 0.5 * (1 - c - s))
+def _slice_coeffs(sums: tuple[float, float, float]) -> tuple[float, float, float]:
+    """(a, b, c) of the slice from its values ``sums`` at the bindings."""
+    s0, spi, s2pi = sums
+    a = (s0 + s2pi) / 2
+    return a, (s0 - s2pi) / 2, spi - a
 
 
 def reconstruct_bracket(sums: tuple[float, float, float], lam: float) -> float:
     """The slice S(lam) from its values ``sums`` at the bindings 0, pi, 2pi."""
-    s0, spi, s2pi = sums
-    c0, cpi, c2pi = reconstruction_coeffs(lam)
-    return c0 * s0 + cpi * spi + c2pi * s2pi
+    a, b, c = _slice_coeffs(sums)
+    return a + b * math.cos(lam / 2) + c * math.sin(lam / 2)
 
 
 @dataclass(frozen=True)
@@ -107,24 +107,20 @@ def _slice_optimum(sums: tuple[float, float, float],
                    sign: float | None = None) -> tuple[float, float]:
     """Closed-form optimum of the slice over ``_LAMBDA_DOMAIN``.
 
-    S(l) = a + b cos(l/2) + c sin(l/2) with a = (S0 + S2pi)/2,
-    b = (S0 - S2pi)/2 and c = Spi - a, so the extrema of S are at
+    The extrema of S(l) = a + b cos(l/2) + c sin(l/2) are at
     l = 2 atan2(c, b) and its antipodes l -/+ 2 pi; those inside the
     domain and the two endpoints are the only candidates.  Maximizes
     S^2, or sign * S with ``sign``, which keeps the bracket on that
     sign's branch.  Either way the returned cost is -S^2.
     """
-    s0, spi, s2pi = sums
-    a = (s0 + s2pi) / 2
-    b = (s0 - s2pi) / 2
-    c = spi - a
+    _, b, c = _slice_coeffs(sums)
     peak = 2 * math.atan2(c, b)
     lo, hi = _LAMBDA_DOMAIN
     candidates = [lam for lam in (peak - 2 * math.pi, peak, peak + 2 * math.pi)
                   if lo <= lam <= hi] + [lo, hi]
 
     def objective(lam: float) -> float:
-        s = a + b * math.cos(lam / 2) + c * math.sin(lam / 2)
+        s = reconstruct_bracket(sums, lam)
         return s * s if sign is None else sign * s
 
     best = max(candidates, key=objective)
@@ -184,7 +180,7 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
             f"expected {spec.parameter_count} parameters, got {len(params)}")
 
     def bracket(p):
-        return sum(gterm_values(grid, prev, build_ansatz(spec, p), cfg.mode))
+        return gterm_values(grid, prev, build_ansatz(spec, p), cfg.mode)
 
     sign = 1.0 if prev.lam >= 0 else -1.0
     iterates, trace = _descend(params, bracket, cfg, sign)
@@ -203,10 +199,10 @@ class FitResult:
 
 
 def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
-                      threshold: float = 1e-6, restarts: int = 8,
-                      seed: int = 0) -> FitResult:
-    """Descents of up to 40 sweeps on S = Re<target|psi(lambda)>, each
-    keeping its last iterate, from zero angles and then random restarts.
+                      threshold: float = 1e-6, seed: int = 0) -> FitResult:
+    """Up to ``_FIT_RESTARTS`` descents of up to 40 sweeps on
+    S = Re<target|psi(lambda)>, each keeping its last iterate, from zero
+    angles and then random restarts.
 
     Exact statevector overlaps throughout; state preparation happens
     before any hardware run, so sampling it buys nothing.  Failing the
@@ -221,7 +217,7 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
 
     rng = np.random.default_rng(seed)
     best: FitResult | None = None
-    for attempt in range(restarts):
+    for attempt in range(_FIT_RESTARTS):
         if attempt == 0:
             params = tuple(0.0 for _ in range(spec.parameter_count))
         else:

@@ -82,9 +82,8 @@ def test_criterion_2_sgeo_reconstruction_exactness():
     worst = 0.0
     for j in range(spec.parameter_count):
         sums = tuple(
-            sum(gterm_values(grid, prev,
-                             build_ansatz(spec, bind_parameter(params, j, b)),
-                             mode))
+            gterm_values(grid, prev,
+                         build_ansatz(spec, bind_parameter(params, j, b)), mode)
             for b in (0.0, math.pi, 2 * math.pi))
         for lam in rng.uniform(-math.pi, math.pi, 64):
             direct = evaluate_cost_direct(

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, ansatz_state, build_ansatz
-from lowdepthqc.burgers import (BurgersGrid, CostCoefficients, FieldState,
-                                bracket_oracle, classical_step,
-                                classical_trajectory, cost_bracket,
+from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
+                                bracket_oracle, bracket_weights,
+                                classical_step, classical_trajectory,
                                 evaluate_cost_direct, family_shots,
                                 gterm_values, infidelity,
                                 initial_condition_gaussian, step_matrix)
-from lowdepthqc.hadamard import EstimatorMode
+from lowdepthqc.hadamard import AdderSpec, EstimatorMode, GTermKind, adder_matrix
 
 
 def test_grid_geometry():
@@ -73,18 +73,32 @@ def test_cost_bracket_matches_dense_oracle(rng):
         u_t = build_ansatz(spec, p_t)
         u_lam = build_ansatz(spec, p_l)
         prev = FieldState(1.7, np.real(ansatz_state(spec, p_t)), u_t)
-        got = cost_bracket(g, prev, u_lam, EstimatorMode.exact())
+        got = gterm_values(g, prev, u_lam, EstimatorMode.exact())
         want = bracket_oracle(g, prev, np.real(ansatz_state(spec, p_l)))
         assert abs(got - want) <= 1e-10
         assert evaluate_cost_direct(g, prev, u_lam) == pytest.approx(-want * want)
 
 
-def test_cost_coefficients():
+def test_cost_coefficients(rng):
     g = BurgersGrid(3, 0.0125, 1e-3)
-    c = CostCoefficients.for_state(g, 2.0)
     dx = g.delta_x
-    assert c.l1 == pytest.approx(2.0 * g.tau * g.nu / (2 * dx * dx))
-    assert c.l2 == pytest.approx(4.0 * g.tau / (2 * dx))
+    l1 = 2.0 * g.tau * g.nu / (2 * dx * dx)
+    l2 = 4.0 * g.tau / (2 * dx)
+    assert bracket_weights(g, 2.0) == pytest.approx(
+        (2.0 - 2 * l1, l1, l1, l2, -l2))
+    # the weighted families make up the step operator: family f measures
+    # Re<psi_t| M_f |psi_lam>, so step_matrix = sum_f w_f M_f^T
+    psi = rng.normal(size=g.points)
+    state = FieldState(2.0, psi / np.linalg.norm(psi))
+    total = np.zeros((g.points, g.points))
+    for (kind, direction), w in zip(FAMILIES, bracket_weights(g, state.lam)):
+        m = np.eye(g.points)
+        if kind is not GTermKind.OVERLAP:
+            m = adder_matrix(AdderSpec(g.n, direction))
+        if kind is GTermKind.SHIFT_DIAG:
+            m = m @ np.diag(state.psi)
+        total += w * m.T
+    assert np.allclose(total, step_matrix(g, state), atol=1e-12)
 
 
 def test_infidelity_bounds():
@@ -96,14 +110,17 @@ def test_infidelity_bounds():
 
 
 class _ShotLog(EstimatorMode):
-    """Sampled estimator that records the shot count of every circuit."""
+    """Estimator that records the family and shot count of every circuit."""
 
     def __init__(self, shots):
         super().__init__(shots=shots, rng=np.random.default_rng(0))
         self.spent = []
+        self.families = []
 
     def evaluate(self, circuit, shots=None):
         self.spent.append(shots)
+        self.families.append((GTermKind(circuit.metadata["gterm_kind"]),
+                              circuit.metadata["direction"]))
         return super().evaluate(circuit, shots=shots)
 
 
@@ -114,8 +131,7 @@ def test_binding_shots_follow_bracket_weights():
     p = tuple(0.1 * k for k in range(spec.parameter_count))
     prev = FieldState(2.04, np.real(ansatz_state(spec, p)),
                       build_ansatz(spec, p))
-    c = CostCoefficients.for_state(g, prev.lam)
-    weights = np.abs([prev.lam - 2 * c.l1, c.l1, c.l1, c.l2, c.l2])
+    weights = np.abs(bracket_weights(g, prev.lam))
 
     # one shot each, then 2495 by largest remainder of the quotas
     # (510.24, 37.45, 37.45, 954.93, 954.93)
@@ -129,3 +145,19 @@ def test_binding_shots_follow_bracket_weights():
     mode = _ShotLog(500)
     gterm_values(g, prev, build_ansatz(spec, p[::-1]), mode)
     assert tuple(mode.spent) == counts
+    assert mode.families == list(FAMILIES)
+
+
+def test_inviscid_bracket_skips_the_shift_families(rng):
+    # at nu = 0 the shift families weigh 0, so no circuit is built for them
+    g = BurgersGrid(3, 0.0125, 0.0)
+    spec = AnsatzSpec(3, 2, Variant.CU_ALT, Head.RY)
+    p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    p_l = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    prev = FieldState(1.7, np.real(ansatz_state(spec, p_t)),
+                      build_ansatz(spec, p_t))
+    mode = _ShotLog(None)
+    got = gterm_values(g, prev, build_ansatz(spec, p_l), mode)
+    assert mode.families == [FAMILIES[0], FAMILIES[3], FAMILIES[4]]
+    want = bracket_oracle(g, prev, np.real(ansatz_state(spec, p_l)))
+    assert abs(got - want) <= 1e-10

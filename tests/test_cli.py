@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +116,8 @@ def test_bad_config_exits_2(tmp_path):
     bad.write_text("bogus_key: 1\n")
     assert main(["run", "--config", str(bad)]) == 2
     for text in ("variant: nope\n", "steps: abc\n", "nu: fast\n",
-                 "snapshots: 0.5\n", "tol: 1e-3\n"):
+                 "snapshots: 0.5\n", "tol: 1e-3\n", "a: 0.0\n", "b: 2.0\n",
+                 "fit_restarts: 4\n"):
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 2, text
     assert main(["noisy-run", "-n", "2", "-d", "1",
@@ -149,6 +152,8 @@ def test_fit_reports_the_state_run_starts_from(tmp_path):
     ["run", "--sigma", "-1"],
     ["noisy-run", "--profile", "aqt-ibex", "--shots", "0"],
     ["gatecount", "--n-max", "2", "--assert"],
+    ["run", "-n", "2", "-d", "1", "--steps", "2", "--snapshots", "5.0", "-1"],
+    ["run", "-n", "2", "-d", "1", "--steps", "2", "--snapshots", "0.0", "-1"],
 ])
 def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"
@@ -176,6 +181,31 @@ def test_flag_the_subcommand_ignores_exits_2(tmp_path, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, variant, layers", [
+    (["run"], Variant.CRY, {"simulator.sv"}),
+    (["noisy-run", "--variant", "cu_alt", "--profile", "ibm-brisbane"],
+     Variant.CU_ALT, {"simulator.density", "transpile"}),
+], ids=("run", "noisy-run"))
+def test_benchmark_probes_attach(tmp_path, command, variant, layers):
+    """The benchmark's child process wraps package functions by name, so a
+    renamed function would leave its probe silently unattached."""
+    root = Path(__file__).resolve().parents[1]
+    probe = tmp_path / "probe.json"
+    argv = [sys.executable, str(root / "benchmarks" / "child.py"), str(probe),
+            "trace", "--", *command, "-n", "2", "-d", "1", "--steps", "1",
+            "--shots", "50", "--sweeps", "1", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    data = json.loads(probe.read_text())
+    bindings = data["bindings"]
+    assert {shots for _, shots, _ in bindings} == {5 * 50}
+    spec = AnsatzSpec(2, 1, variant, Head.RY)
+    assert sum(count for *_, count in bindings) == 3 * spec.parameter_count
+    spans = {span[0] for span in data["spans"]}
+    assert {"burgers.gterm", "hadamard.evaluate", "sgeo.optimize",
+            "sgeo.fit"} | layers <= spans
 
 
 def _calibration_csv(path, columns, qubits=range(12), **values):

@@ -11,14 +11,9 @@ from lowdepthqc.burgers import (BurgersGrid, FieldState, bracket_oracle,
 from lowdepthqc.hadamard import EstimatorMode
 from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _slice_optimum,
                              fit_initial_state, optimize_step,
-                             reconstruct_bracket, reconstruction_coeffs)
+                             reconstruct_bracket)
 
 BINDINGS = (0.0, math.pi, 2 * math.pi)
-
-
-def test_coefficients_interpolate_the_bindings():
-    for lam, want in zip(BINDINGS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        assert np.allclose(reconstruction_coeffs(lam), want, atol=1e-15)
 
 
 def test_reconstruction_is_exact_along_every_parameter(rng):
@@ -31,9 +26,8 @@ def test_reconstruction_is_exact_along_every_parameter(rng):
     mode = EstimatorMode.exact()
     for j in range(spec.parameter_count):
         sums = tuple(
-            sum(gterm_values(grid, prev,
-                             build_ansatz(spec, bind_parameter(params, j, b)),
-                             mode))
+            gterm_values(grid, prev,
+                         build_ansatz(spec, bind_parameter(params, j, b)), mode)
             for b in BINDINGS)
         for lam in rng.uniform(-math.pi, math.pi, 16):
             direct = evaluate_cost_direct(
