@@ -328,6 +328,8 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
     final = series[-1]
     summary = {"final_infidelity": final[2], "worst_infidelity": worst,
                "final_fidelity": final[3], "fit_infidelity": fit.infidelity,
+               "coordinate_updates": len(traces),
+               "estimator_circuits": mode.circuits,
                "wall_time_s": time.time() - t_start}
     return grid, classical, series, traces, snapshots, summary
 

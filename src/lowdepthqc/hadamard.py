@@ -157,11 +157,13 @@ class EstimatorMode:
 
     ``rng`` is advanced by every sampled estimate, so a driver seeding it
     once gets a reproducible stream across a whole optimization run.
+    ``circuits`` counts the circuits evaluated so far.
     """
 
     shots: int | None = None
     noise: object | None = None          # NoiseModel, when noisy
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    circuits: int = 0
 
     @classmethod
     def exact(cls) -> "EstimatorMode":
@@ -169,6 +171,7 @@ class EstimatorMode:
 
     def evaluate(self, circuit: Circuit, shots: int | None = None) -> float:
         """Ancilla <Z> of ``circuit``; ``shots`` overrides the mode's count."""
+        self.circuits += 1
         if self.noise is None:
             z = ancilla_expectation_z(run_statevector(circuit), circuit.ancilla)
         else:

@@ -9,15 +9,26 @@ parameter is
 
 and its values at the three bindings {0, pi, 2pi} fix the coefficients:
 a = (S(0) + S(2pi))/2, b = (S(0) - S(2pi))/2 and c = S(pi) - a.
-Fifteen circuit estimates per parameter (the five estimator families at
-each of the three bindings) therefore buy the whole 1-D cost slice in
-closed form.  Its optimum is closed-form too, as in Rotosolve and NFT:
-over the domain [-pi - pi/32, pi] it lies at 2 atan2(c, b), one of its
-antipodes or an endpoint, and costs no further quantum evaluations.
+The slice's optimum is closed-form too, as in Rotosolve and NFT: over
+the domain [-pi - pi/32, pi] it lies at 2 atan2(c, b), one of its
+antipodes or an endpoint, and costs no further evaluations.
 
-One driver, ``_descend``, sweeps these updates for both callers, which
-differ only in their bracket: ``optimize_step`` estimates the Burgers
-bracket, and ``fit_initial_state`` takes the overlap with its target.
+One driver, ``_descend``, sweeps these updates, taking each
+coordinate's three slice values from a slice source.  There are two:
+
+* coordinate environments (``_environment_slices``), for an exact
+  bracket S = Re<tau|psi(lambda)> with a known 2^n target tau: the
+  initial fit's profile, or the exact step target
+  ``step_matrix(grid, prev) @ prev.psi``.  The ansatz is one gate per
+  parameter, psi = R_{>j} G_j(lambda_j) R_{<j}|0>, so a slice value is
+  Re<l_j|G_j(b) r_j>.  One backward pass per sweep stores every
+  l_j = R_{>j}^dag tau, and the forward pass carries r_j = R_{<j}|0>,
+  so a coordinate costs a few 2^n-vector gate actions and inner
+  products, and no circuit is built or simulated (the environment trick
+  of NFT and Rotosolve);
+* the Hadamard-test circuits (``_circuit_slices``), for sampled and
+  noisy modes: fifteen circuit estimates per parameter, the five
+  estimator families at each of the three bindings.
 
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
@@ -43,9 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ansatz_state, bind_parameter, build_ansatz
-from .burgers import BurgersGrid, FieldState, gterm_values, infidelity
+from .ansatz import (AnsatzSpec, Head, ansatz_state, bind_parameter,
+                     build_ansatz, register_circuit)
+from .burgers import (BurgersGrid, FieldState, gterm_values, infidelity,
+                      step_matrix)
+from .circuit import GateInstance, gate_unitary, invert_gate
 from .hadamard import EstimatorMode
+from .simulator import _apply_matrix
 
 _BINDINGS = (0.0, math.pi, 2 * math.pi)
 # Descents of the initial fit: one from zero angles, then random restarts.
@@ -128,28 +143,30 @@ def _slice_optimum(sums: tuple[float, float, float],
     return best, -s * s
 
 
-def _descend(params: tuple[float, ...], bracket, cfg: SweepConfig,
+def _descend(params: tuple[float, ...], slices, cfg: SweepConfig,
              sign: float | None = None):
-    """Coordinate descent from ``params`` on the bracket S = ``bracket(p)``:
-    maximizes S^2, or sign * S with ``sign``, until a sweep's best cost
-    gains less than ``cfg.tol``.  A sampled run does every sweep, each
-    update on the running mean of its slice so far, so the shot noise of
-    the final angles falls with the sweeps.  Returns the iterates as
-    (params, cost), and the trace."""
+    """Coordinate descent from ``params`` on the bracket S whose slice
+    along parameter j at ``params`` is ``slices(params, j)``, its values
+    at the bindings: maximizes S^2, or sign * S with ``sign``, until a
+    sweep's best cost gains less than ``cfg.tol``.  Each sweep asks for
+    the coordinates in order, j = 0, 1, ....  A sampled run does every
+    sweep, each update on the running mean of its slice so far, so the
+    shot noise of the final angles falls with the sweeps.  Returns the
+    iterates as (params, cost), and the trace."""
     sampled = cfg.mode.shots is not None
-    slices: dict[int, tuple[float, float, float]] = {}
+    means: dict[int, tuple[float, float, float]] = {}
     trace: list[TraceEntry] = []
     iterates: list[tuple[tuple[float, ...], float]] = []
     prev_best = math.inf
     for sweep in range(cfg.sweeps):
         sweep_best = math.inf
         for j in range(len(params)):
-            sums = tuple(bracket(bind_parameter(params, j, b)) for b in _BINDINGS)
+            sums = slices(params, j)
             if sampled:
-                mean = slices.get(j, sums)
+                mean = means.get(j, sums)
                 sums = tuple(m + (x - m) / (sweep + 1)
                              for m, x in zip(mean, sums))
-                slices[j] = sums
+                means[j] = sums
             lam, cost = _slice_optimum(sums, sign)
             params = bind_parameter(params, j, lam)
             trace.append(TraceEntry(sweep, j, lam, cost))
@@ -159,6 +176,53 @@ def _descend(params: tuple[float, ...], bracket, cfg: SweepConfig,
             break
         prev_best = sweep_best
     return iterates, trace
+
+
+def _circuit_slices(bracket):
+    """Slice source that evaluates ``bracket(params)`` at each binding."""
+    def slices(params, j):
+        return tuple(bracket(bind_parameter(params, j, b)) for b in _BINDINGS)
+    return slices
+
+
+def _environment_slices(spec: AnsatzSpec, target: np.ndarray):
+    """Slice source for S = Re<target|psi(params)>, from coordinate
+    environments on the register statevector.
+
+    Parameter j drives register gate j + 1 behind the X head, gate j
+    behind the RY head.  At j = 0 a backward pass stores
+    l_j = R_{>j}^dag target for every j; each later call first applies
+    gate j - 1 at its updated angle to the forward carry r = R_{<j}|0>.
+    So ``_descend``'s order of calls is what keeps the carry valid.
+    """
+    shape = [2] * spec.n
+    offset = 1 if spec.head is Head.X else 0
+    gates, lefts, right = (), [], None
+
+    def apply(tensor, inst):
+        return _apply_matrix(tensor, gate_unitary(inst), inst.qubits)
+
+    def at(j, angle):
+        inst = gates[j + offset]
+        return GateInstance(inst.gate, inst.controls, inst.targets, (angle,))
+
+    def slices(params, j):
+        nonlocal gates, lefts, right
+        if j == 0:
+            gates = register_circuit(build_ansatz(spec, params)).gates
+            lefts = [np.asarray(target, dtype=complex).reshape(shape)]
+            for inst in reversed(gates[offset + 1:]):
+                lefts.append(apply(lefts[-1], invert_gate(inst)))
+            lefts.reverse()
+            right = np.zeros(shape, dtype=complex)
+            right[(0,) * spec.n] = 1.0
+            for inst in gates[:offset]:
+                right = apply(right, inst)
+        else:
+            right = apply(right, at(j - 1, params[j - 1]))
+        return tuple(float(np.real(np.vdot(lefts[j], apply(right, at(j, b)))))
+                     for b in _BINDINGS)
+    return slices
 
 
 def _best_of_last(iterates: list[tuple[tuple[float, ...], float]]):
@@ -179,11 +243,14 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
         raise ValueError(
             f"expected {spec.parameter_count} parameters, got {len(params)}")
 
-    def bracket(p):
-        return gterm_values(grid, prev, build_ansatz(spec, p), cfg.mode)
-
+    mode = cfg.mode
+    if mode.shots is None and mode.noise is None:
+        slices = _environment_slices(spec, step_matrix(grid, prev) @ prev.psi)
+    else:
+        slices = _circuit_slices(lambda p: gterm_values(
+            grid, prev, build_ansatz(spec, p), mode))
     sign = 1.0 if prev.lam >= 0 else -1.0
-    iterates, trace = _descend(params, bracket, cfg, sign)
+    iterates, trace = _descend(params, slices, cfg, sign)
     return OptimizeResult(*_best_of_last(iterates), tuple(trace))
 
 
@@ -204,16 +271,14 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
     S = Re<target|psi(lambda)>, each keeping its last iterate, from zero
     angles and then random restarts.
 
-    Exact statevector overlaps throughout; state preparation happens
-    before any hardware run, so sampling it buys nothing.  Failing the
-    threshold returns the best candidate found rather than raising.
+    Exact overlaps from coordinate environments throughout; state
+    preparation happens before any hardware run, so sampling it buys
+    nothing.  Failing the threshold returns the best candidate found
+    rather than raising.
     """
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape != (1 << spec.n,):
         raise ValueError(f"target has dim {target.shape}, expected {1 << spec.n}")
-
-    def bracket(p):
-        return float(np.real(np.vdot(target, ansatz_state(spec, p))))
 
     rng = np.random.default_rng(seed)
     best: FitResult | None = None
@@ -222,7 +287,8 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
             params = tuple(0.0 for _ in range(spec.parameter_count))
         else:
             params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-        iterates, _ = _descend(params, bracket, SweepConfig(sweeps=40))
+        iterates, _ = _descend(params, _environment_slices(spec, target),
+                               SweepConfig(sweeps=40))
         params = iterates[-1][0]
         err = infidelity(ansatz_state(spec, params), target)
         if best is None or err < best.infidelity:

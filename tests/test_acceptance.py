@@ -5,8 +5,9 @@ PASS/FAIL verdict line with the measured numbers, so a full run leaves a
 nine-line scoreboard in the captured output.  The noisy-dynamics checks
 (7 and 8) run full density-matrix simulations through device noise
 profiles and do every optimizer sweep of a sampled run; on a 2-core
-machine they take about 2.5 and 1.2 minutes.  Everything else takes
-about a minute in all.
+machine they take about 5 and 2.5 minutes, and carry the ``slow``
+marker.  Everything else takes under half a minute in all, criterion 4's
+56-step noiseless run included (about 2 s).
 """
 import csv
 import math
@@ -117,7 +118,6 @@ def test_criterion_3_circuits_match_dense_oracles():
              f"max deviation {worst:.2e} over {checks} circuit evaluations")
 
 
-@pytest.mark.slow
 def test_criterion_4_noiseless_dynamics(tmp_path):
     out = tmp_path / "run"
     code = main(["run", "-n", "3", "-d", "3", "--nu", "0.001", "--steps", "56",

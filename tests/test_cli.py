@@ -146,6 +146,26 @@ def test_fit_reports_the_state_run_starts_from(tmp_path):
     assert fit["infidelity"] == run["fit_infidelity"]
 
 
+@pytest.mark.parametrize("shots, circuits", [
+    # exact slices come from coordinate environments, with no circuit run
+    (None, 0),
+    # 2 sweeps x 3 parameters x 3 bindings x 5 families of nonzero weight
+    (50, 90),
+])
+def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits):
+    argv = ["run", "-n", "2", "-d", "1", "--steps", "1", "--sweeps", "2",
+            "--out", str(tmp_path)]
+    if shots is not None:
+        argv += ["--shots", str(shots)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "run.json").read_text())["summary"]
+    traces = _read_csv(tmp_path / "cost_trace.csv")[1:]
+    assert summary["coordinate_updates"] == len(traces)
+    assert summary["estimator_circuits"] == circuits
+    if shots is not None:
+        assert len(traces) == 2 * 3
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--sweeps", "0"],
     ["run", "--steps", "-1"],

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from lowdepthqc import burgers, sgeo
 from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
                                bind_parameter, build_ansatz)
 from lowdepthqc.burgers import (BurgersGrid, FieldState, bracket_oracle,
                                 evaluate_cost_direct, gterm_values, infidelity,
-                                initial_condition_gaussian)
+                                initial_condition_gaussian, step_matrix)
 from lowdepthqc.hadamard import EstimatorMode
-from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _slice_optimum,
+from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _circuit_slices,
+                             _environment_slices, _slice_optimum,
                              fit_initial_state, optimize_step,
                              reconstruct_bracket)
 
@@ -138,3 +140,62 @@ def test_sampled_step_runs_every_sweep():
     assert len(res.trace) == 4 * spec.parameter_count
     assert bracket_oracle(grid, prev,
                           np.real(ansatz_state(spec, res.params))) > 0
+
+
+def _sweep_both(spec, env, circ, rng):
+    """Largest gap between two slice sources over one sweep in which each
+    coordinate moves to a random angle after its slice is taken, so the
+    environment's forward carry sees every update."""
+    params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    worst = 0.0
+    for j in range(spec.parameter_count):
+        got, want = env(params, j), circ(params, j)
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
+        params = bind_parameter(params, j, rng.uniform(-math.pi, math.pi))
+    return worst
+
+
+@pytest.mark.parametrize("head", list(Head))
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_environment_slices_match_the_circuit_path(n, variant, head, rng):
+    spec = AnsatzSpec(n, 2, variant, head)
+    grid = BurgersGrid(n, 0.01, 1e-2)
+    p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
+                      build_ansatz(spec, p_t))
+    mode = EstimatorMode.exact()
+    step = _environment_slices(spec, step_matrix(grid, prev) @ prev.psi)
+    circuits = _circuit_slices(
+        lambda p: gterm_values(grid, prev, build_ansatz(spec, p), mode))
+    assert _sweep_both(spec, step, circuits, rng) <= 1e-12
+
+    target = rng.normal(size=1 << n)
+    target /= np.linalg.norm(target)
+    fit = _environment_slices(spec, target)
+    overlaps = _circuit_slices(
+        lambda p: float(np.real(np.vdot(target, ansatz_state(spec, p)))))
+    assert _sweep_both(spec, fit, overlaps, rng) <= 1e-12
+
+
+def test_exact_mode_builds_no_hadamard_test_circuit(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(sgeo, "gterm_values", refuse)
+    monkeypatch.setattr(burgers, "build_gterm_circuit", refuse)
+    spec = AnsatzSpec(3, 2, Variant.CRY, Head.RY)
+    grid = BurgersGrid(3, 0.0125, 1e-3)
+    ic = initial_condition_gaussian(grid, 0.3)
+    fit = fit_initial_state(ic.psi, spec, seed=1)
+    prev = FieldState(ic.lam, np.real(ansatz_state(spec, fit.params)),
+                      build_ansatz(spec, fit.params))
+    res = optimize_step(grid, prev, spec, fit.params, SweepConfig(sweeps=3))
+    assert len(res.trace) >= spec.parameter_count
+    sampled = SweepConfig(sweeps=1, mode=EstimatorMode(
+        shots=50, rng=np.random.default_rng(0)))
+    with pytest.raises(Built):
+        optimize_step(grid, prev, spec, fit.params, sampled)
