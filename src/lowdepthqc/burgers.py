@@ -141,20 +141,29 @@ def gterm_values(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
                  mode: EstimatorMode) -> float:
     """The bracket S, one Hadamard-test estimate per family of nonzero weight.
 
-    A sampled ``mode`` spends ``5 * mode.shots`` shots on the five
-    circuits together, split by the magnitude of each family's weight
-    (see ``family_shots``).
+    A noisy ``mode`` takes the five tests cut after U_lam
+    (``EstimatorMode.cut_tests``), so there ``u_lam`` must have the gate
+    structure of ``prev.circuit`` (only the angles may differ) or a
+    ValueError is raised; any other mode builds and simulates each
+    circuit whole.  A sampled ``mode`` spends ``5 * mode.shots`` shots on
+    the five tests together, split by the magnitude of each family's
+    weight (see ``family_shots``), and draws them in ``FAMILIES`` order.
     """
     if prev.circuit is None:
         raise ValueError("previous state carries no preparation circuit")
+    # a family of weight 0 drops out of the bracket
+    terms = [(family, weight, count) for family, weight, count in zip(
+                 FAMILIES, bracket_weights(grid, prev.lam),
+                 family_shots(grid, prev, mode.shots)) if weight != 0]
+    if mode.noise is None:
+        tests = (build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
+                 for (kind, direction), _, _ in terms)
+    else:
+        tests = mode.cut_tests(prev.circuit, u_lam,
+                               [family for family, _, _ in terms])
     s = 0.0
-    for (kind, direction), weight, count in zip(
-            FAMILIES, bracket_weights(grid, prev.lam),
-            family_shots(grid, prev, mode.shots)):
-        if weight == 0:   # the family drops out of the bracket
-            continue
-        circ = build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
-        s += weight * mode.evaluate(circ, shots=count)
+    for test, (_, weight, count) in zip(tests, terms):
+        s += weight * mode.evaluate(test, shots=count)
     return s
 
 

@@ -42,6 +42,7 @@ from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
 from .noise import (RECIPES, MissingPairError, NoiseModel, builtin_profiles,
                     load_calibration_csv)
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
+from .simulator import check_density_width
 from .transpile import BasisTarget, count_report, decompose
 
 
@@ -202,13 +203,15 @@ def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
 
 
 def _check_couplings(cfg: ExperimentConfig, model: NoiseModel) -> None:
-    """Fail before any work when the calibration misses a qubit or coupling
-    that the widest estimator circuit (shift_diag) uses.  The native
-    2-qubit structure, SC routing included, does not depend on the angles,
-    so one lowering at zero angles covers every circuit of the run."""
+    """Fail before any work when the widest estimator circuit (shift_diag)
+    is wider than density simulation takes, or the calibration misses a
+    qubit or coupling that it uses.  The native 2-qubit structure, SC
+    routing included, does not depend on the angles, so one lowering at
+    zero angles covers every circuit of the run."""
     spec = cfg.ansatz()
     u = build_ansatz(spec, (0.0,) * spec.parameter_count)
     native = decompose(build_gterm_circuit(GTermKind.SHIFT_DIAG, u, u), model.basis)
+    check_density_width(native.width)
     try:
         for inst in native.gates:
             model.channels_for(inst)
@@ -330,6 +333,8 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
                "final_fidelity": final[3], "fit_infidelity": fit.infidelity,
                "coordinate_updates": len(traces),
                "estimator_circuits": mode.circuits,
+               "density_passes": mode.density_passes,
+               "native_gates_simulated": mode.native_gates,
                "wall_time_s": time.time() - t_start}
     return grid, classical, series, traces, snapshots, summary
 

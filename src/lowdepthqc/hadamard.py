@@ -11,6 +11,15 @@ the elision pass so only the gates with no register control keep it.
 The diagonal operator needs no explicit gate: copying the basis index
 into a second register and uncomputing it with the inverse evolution
 projects in exactly the right way.
+
+Every circuit of one U_lam opens with the same H and U_lam; only what
+follows (copy network, inverse evolutions, adder, closing H) depends on
+the family and on U_t.  A noisy estimator cuts each circuit there
+(``EstimatorMode.cut_tests``).  Per family and U_t, a ``TailObservable``
+carries the readout-folded ancilla Z back through the lowered, noisy
+tail to the cut, once.  Per U_lam, the opening is lowered and
+density-evolved once on its n + 1 wires, and each family's value is a
+trace against its tail observable.
 """
 from __future__ import annotations
 
@@ -19,10 +28,13 @@ from enum import Enum
 
 import numpy as np
 
+from . import transpile
 from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
-from .simulator import (ShotConfig, ancilla_expectation_z, density_expectation_z,
-                        run_density, run_statevector, sample_from_expectation)
+from .simulator import (DensityMatrix, ShotConfig, ancilla_expectation_z,
+                        density_expectation_z, evolve_density,
+                        observable_before, run_density, run_statevector,
+                        sample_from_expectation)
 
 
 class GTermKind(Enum):
@@ -75,6 +87,19 @@ def _embedded_body(full_ansatz: Circuit, register_map: dict[int, int]) -> list[G
     return [g.remapped(mapping) for g in full_ansatz.gates]
 
 
+def _ancilla_controlled(body) -> list[GateInstance]:
+    # the embedded ansatz heads already carry the ancilla control
+    return [g if 0 in g.controls else g.with_controls((0,) + g.controls)
+            for g in body]
+
+
+def _opening(u_lam: Circuit) -> list[GateInstance]:
+    """The H and ancilla-controlled U_lam that every estimator circuit of
+    ``u_lam`` opens with, before elision; U_lam acts on the first
+    register, wires 1..n as in the ansatz, so its gates embed as they are."""
+    return [GateInstance(Gate.H, (), (0,))] + _ancilla_controlled(u_lam.gates)
+
+
 def build_gterm_circuit(kind: GTermKind, u_t: Circuit, u_lam: Circuit,
                         direction: str = "plus", imaginary: bool = False,
                         elide: bool = True) -> Circuit:
@@ -83,6 +108,7 @@ def build_gterm_circuit(kind: GTermKind, u_t: Circuit, u_lam: Circuit,
     ``u_t`` and ``u_lam`` are ansatz-form circuits (ancilla at wire 0,
     register at 1..n).  ``elide=False`` keeps every body gate
     ancilla-controlled, for the elision-safety comparisons.
+    ``metadata["cut"]`` is the number of gates of the opening H and U_lam.
     """
     if u_t.width != u_lam.width:
         raise ValueError(f"width mismatch: {u_t.width} vs {u_lam.width}")
@@ -99,8 +125,7 @@ def build_gterm_circuit(kind: GTermKind, u_t: Circuit, u_lam: Circuit,
     else:
         raise ValueError(f"unknown kind {kind}")
 
-    body: list[GateInstance] = []
-    body += _embedded_body(u_lam, reg1)
+    body: list[GateInstance] = []         # everything after U_lam
     if kind is GTermKind.SHIFT_DIAG:
         for q in range(1, n + 1):
             body.append(GateInstance(Gate.CNOT, (q,), (reg2[q],)))
@@ -109,16 +134,15 @@ def build_gterm_circuit(kind: GTermKind, u_t: Circuit, u_lam: Circuit,
         body += adder_gates(AdderSpec(n, direction), [reg1[q] for q in range(1, n + 1)])
     body += _embedded_body(dagger(u_t), reg1)
 
-    gates = [GateInstance(Gate.H, (), (0,))]
-    # the embedded ansatz heads already carry the ancilla control
-    gates += [g if 0 in g.controls else g.with_controls((0,) + g.controls)
-              for g in body]
+    opening = _opening(u_lam)
+    gates = opening + _ancilla_controlled(body)
     if imaginary:
         gates.append(GateInstance(Gate.S_DAG, (), (0,)))
     gates.append(GateInstance(Gate.H, (), (0,)))
 
     meta = {"work_qubits": list(range(n + 1, n + 1 + work)),
-            "gterm_kind": kind.value, "direction": direction}
+            "gterm_kind": kind.value, "direction": direction,
+            "cut": len(opening)}
     circ = Circuit(width, tuple(gates), ancilla=0, metadata=meta)
     if elide:
         circ = elide_body(circ, 0)
@@ -157,29 +181,123 @@ class EstimatorMode:
 
     ``rng`` is advanced by every sampled estimate, so a driver seeding it
     once gets a reproducible stream across a whole optimization run.
-    ``circuits`` counts the circuits evaluated so far.
+    ``circuits`` counts the Hadamard tests estimated so far;
+    ``density_passes`` counts the density-matrix passes of the
+    ``cut_tests`` path, forward or backward, and ``native_gates`` the
+    native gates those passes and the lead-ins simulated.
     """
 
     shots: int | None = None
     noise: object | None = None          # NoiseModel, when noisy
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     circuits: int = 0
+    density_passes: int = 0
+    native_gates: int = 0
+    # (U_t, {family: TailObservable}) of the U_t last passed to cut_tests
+    _tails: tuple = field(default=(None, None), repr=False, compare=False)
 
     @classmethod
     def exact(cls) -> "EstimatorMode":
         return cls()
 
-    def evaluate(self, circuit: Circuit, shots: int | None = None) -> float:
-        """Ancilla <Z> of ``circuit``; ``shots`` overrides the mode's count."""
+    def evaluate(self, test, shots: int | None = None) -> float:
+        """Ancilla <Z> of one Hadamard test; ``shots`` overrides the mode's count.
+
+        ``test`` is a circuit, simulated whole, or one of the
+        (prefix, tail) pairs of ``cut_tests``.
+        """
         self.circuits += 1
-        if self.noise is None:
-            z = ancilla_expectation_z(run_statevector(circuit), circuit.ancilla)
+        if isinstance(test, Circuit):
+            if self.noise is None:
+                z = ancilla_expectation_z(run_statevector(test), test.ancilla)
+            else:
+                z = noisy_expectation(test, self.noise, self.noise.basis)
         else:
-            z = noisy_expectation(circuit, self.noise, self.noise.basis)
+            (rho, pending), tail = test
+            lead_in = tail.lead_in(pending)
+            z = tail.expectation(evolve_density(rho, lead_in, self.noise))
+            self.native_gates += len(lead_in)
         if self.shots is not None:
             count = self.shots if shots is None else shots
             z = sample_from_expectation(z, ShotConfig(count), rng=self.rng)
         return z
+
+    def cut_tests(self, u_t: Circuit, u_lam: Circuit, families) -> list[tuple]:
+        """The noisy Hadamard tests of U_lam against U_t for each
+        (kind, direction) of ``families``, cut after U_lam: one
+        (prefix, tail) pair each, for ``evaluate``.
+
+        A tail depends only on U_t, the noise model and the gate
+        structure of U_lam, which must be U_t's (the angles may differ), so
+        the tails are built, with U_t in U_lam's place, when a U_t first
+        comes (once per time step) and reused while it comes back.  The
+        prefix, the density of the opening H and U_lam with each wire's
+        pending 1-qubit product, is evolved once for all the families.
+        """
+        if _structure(u_lam) != _structure(u_t):
+            raise ValueError("U_lam must have the gate structure of U_t")
+        key, tails = self._tails
+        if key != u_t:
+            tails = {}
+            self._tails = (u_t, tails)
+        for kind, direction in families:
+            if (kind, direction) not in tails:
+                circuit = build_gterm_circuit(kind, u_t, u_t, direction=direction)
+                tail = TailObservable(circuit, self.noise, u_t.width)
+                tails[kind, direction] = tail
+                self.density_passes += 1
+                self.native_gates += tail.gates
+        opening = elide_body(Circuit(u_lam.width, tuple(_opening(u_lam)),
+                                     ancilla=0), 0)
+        native = transpile.decompose(opening, self.noise.basis, flush=False)
+        prefix = (run_density(native, noise=self.noise,
+                              keep=range(opening.width)),
+                  native.metadata["pending"])
+        self.density_passes += 1
+        self.native_gates += len(native.gates)
+        return [(prefix, tails[family]) for family in families]
+
+
+def _structure(c: Circuit) -> list[tuple]:
+    """A circuit's gates without their angles."""
+    return [(g.gate, g.controls, g.targets) for g in c.gates]
+
+
+class TailObservable:
+    """One estimator circuit from its cut on, under a noise model, as the
+    observable ``w`` on the ``wires`` = n + 1 wires of the opening H and
+    U_lam: the circuit's ancilla <Z> is Tr[w rho] for the density rho
+    that the opening and the lead-ins leave.
+
+    ``decompose`` lowers the circuit from its cut, and the readout-folded
+    ancilla Z is carried back through the native tail and its channels to
+    the cut; the tail's wires beyond the opening's enter in |0>.  The
+    lead-in of a wire that the opening leaves a product pending on is the
+    native lowering of ``leads[p] @ pending[p]``, with its channels: the
+    gates the whole circuit emits at that wire's first flush in the tail,
+    moved to the cut past gates on other wires only.  So the native gates
+    and their noise are the whole circuit's.
+    """
+
+    def __init__(self, circuit: Circuit, noise, wires: int):
+        native = transpile.decompose(circuit, noise.basis,
+                                     cut=circuit.metadata["cut"])
+        anc = native.metadata["final_positions"][circuit.ancilla]
+        p01, p10 = noise.readout_probs(anc)
+        readout_z = np.diag([1.0 - 2.0 * p10, 2.0 * p01 - 1.0])
+        self.w = observable_before(native, noise, anc, readout_z, range(wires))
+        self.leads = native.metadata["leads"]
+        self.basis = noise.basis
+        self.gates = len(native.gates)
+
+    def lead_in(self, pending: dict[int, np.ndarray]) -> list[GateInstance]:
+        """Native lead-in gates for the opening's ``pending`` products."""
+        return [inst for p, lead in self.leads.items()
+                for inst in transpile.emit_1q(p, lead @ pending[p], self.basis)]
+
+    def expectation(self, rho: DensityMatrix) -> float:
+        """Tr[w rho] for the density after the opening and the lead-ins."""
+        return float(np.real(np.einsum("ij,ji->", self.w, rho.rho)))
 
 
 def apportion_shots(total: int, weights) -> tuple[int, ...]:
@@ -206,9 +324,7 @@ def apportion_shots(total: int, weights) -> tuple[int, ...]:
 def noisy_expectation(circuit: Circuit, noise, basis) -> float:
     """Transpile to the native basis, evolve the density matrix with the
     model's channels, and fold the ancilla readout confusion in analytically."""
-    from .transpile import decompose
-
-    native = decompose(circuit, basis)
+    native = transpile.decompose(circuit, basis)
     positions = native.metadata.get("final_positions")
     anc = positions[circuit.ancilla] if positions else circuit.ancilla
     rho = run_density(native, noise=noise, keep=(anc,))

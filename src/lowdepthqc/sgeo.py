@@ -26,9 +26,14 @@ coordinate's three slice values from a slice source.  There are two:
   so a coordinate costs a few 2^n-vector gate actions and inner
   products, and no circuit is built or simulated (the environment trick
   of NFT and Rotosolve);
-* the Hadamard-test circuits (``_circuit_slices``), for sampled and
-  noisy modes: fifteen circuit estimates per parameter, the five
-  estimator families at each of the three bindings.
+* the Hadamard-test estimates (``_circuit_slices``), for sampled and
+  noisy modes: the five estimator families at each of the three
+  bindings.  A sampled noiseless mode simulates each circuit whole.  A
+  noisy mode cuts the circuits after U_lam: each family's lowered tail
+  is carried back to the cut once per time step as an observable, and
+  each binding costs one density evolution of the opening H and U_lam on
+  n + 1 qubits, shared by the five families, and five traces
+  (``hadamard.EstimatorMode.cut_tests``).
 
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
@@ -42,7 +47,7 @@ reasons (measured on aqt-ibex, n=3, d=3, cu_alt, without shots):
   1.6e-2, depending on the state and the parameter.  The local
   depolarizing channels between the two rotations of a lowered block
   are not the cause: they commute past those rotations;
-* ``transpile._emit_1q`` drops 1-qubit runs that are the identity or a
+* ``transpile.emit_1q`` drops 1-qubit runs that are the identity or a
   bare RZ, so the native gate list (310 or 311 gates for the head
   parameter) and with it the noise change with the binding.  This adds
   about 1e-4 (1.5e-5 on the head parameter, which has no CNOT block).
@@ -179,7 +184,8 @@ def _descend(params: tuple[float, ...], slices, cfg: SweepConfig,
 
 
 def _circuit_slices(bracket):
-    """Slice source that evaluates ``bracket(params)`` at each binding."""
+    """Slice source that evaluates ``bracket(params)`` at each binding;
+    ``optimize_step`` passes ``gterm_values``, one estimate per family."""
     def slices(params, j):
         return tuple(bracket(bind_parameter(params, j, b)) for b in _BINDINGS)
     return slices

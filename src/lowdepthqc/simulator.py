@@ -12,7 +12,10 @@ Density evolution contracts superoperators with the same kernel: each
 gate and the channels a noise model attaches to it fold into one, 1-qubit
 runs merge into the next 2-qubit gate, and only the qubits that are live
 at a gate are simulated.  It takes gates on at most two qubits, as
-``transpile.decompose`` emits.
+``transpile.decompose`` emits.  ``observable_before`` runs the same
+evolution backward in the Heisenberg picture: it carries an observable
+from the end of a circuit to its start through the adjoint of each
+gate's superoperator, so one pass serves every input state.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CircuitError, gate_unitary, target_matrix
+from .noise import DepolarizingChannel
 
 DENSITY_QUBIT_CAP = 12
 
@@ -117,23 +121,11 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
     alone, so they cannot change the kept marginal and are skipped.
     """
     n = c.width
-    if n > DENSITY_QUBIT_CAP:
-        raise CircuitError(
-            f"density simulation capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
-    from .noise import DepolarizingChannel
-
-    keep = tuple(range(n)) if keep is None else tuple(keep)
-    if len(set(keep)) != len(keep) or not all(0 <= q < n for q in keep):
-        raise CircuitError(f"keep {keep} is not a set of qubits of {n}")
+    keep = _check_density(c, keep)
     last_multi = {}
     for i, inst in enumerate(c.gates):
-        qubits = inst.qubits
-        if len(qubits) > 2:
-            raise CircuitError(
-                f"density simulation takes gates on at most two qubits, "
-                f"got {inst.gate.value} on {qubits}")
-        if len(qubits) == 2:
-            for q in qubits:
+        if len(inst.qubits) == 2:
+            for q in inst.qubits:
                 last_multi[q] = i
 
     live: list[int] = []              # simulated qubits, in axis order
@@ -160,27 +152,15 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
         rows = [live.index(q) for q in qubits]
         return rows + [len(live) + a for a in rows]
 
-    # Each 1-qubit gate and its channels fold into a pending superoperator
-    # on its qubit, kept as D(survival) (u (x) u*) s: a 1-qubit
-    # depolarizing channel D commutes with every 1-qubit unitary, so runs
-    # of unitaries and depolarizing channels only multiply u and the
-    # survival factor; other channels fold into the 4x4 s.  A 2-qubit
-    # gate absorbs the pending superoperators of both its qubits and its
-    # own channels into one 16x16 superoperator, so the density tensor is
-    # touched once per 2-qubit gate.
-    pending: dict[int, list] = {}
+    # Each 1-qubit gate and its channels fold into the pending run of its
+    # qubit (``_QubitRun``).  A 2-qubit gate absorbs the pending runs of
+    # both its qubits and its own channels into one 16x16 superoperator,
+    # so the density tensor is touched once per 2-qubit gate.
+    pending: dict[int, _QubitRun] = {}
 
     def take(q):
-        entry = pending.pop(q, None)
-        if entry is None:
-            return None
-        s, u, survival = entry
-        sop = _unitary_superop(u)
-        if s is not None:
-            sop = sop @ s
-        if survival < 1.0:
-            sop = DepolarizingChannel((q,), 1.0 - survival).superop() @ sop
-        return sop
+        run = pending.pop(q, None)
+        return None if run is None else run.superop()
 
     def flush(q):
         nonlocal tensor
@@ -197,17 +177,11 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
         channels = noise.channels_for(inst) if noise is not None else []
         if len(qubits) == 1:
             q = qubits[0]
-            entry = pending.setdefault(q, [None, _I2, 1.0])
-            entry[1] = target_matrix(inst.gate, inst.params) @ entry[1]
-            for ch in channels:
-                if isinstance(ch, DepolarizingChannel):
-                    pending[q][2] *= 1.0 - ch.p
-                else:
-                    pending[q] = [ch.superop() @ take(q), _I2, 1.0]
+            if q not in pending:
+                pending[q] = _QubitRun(q)
+            pending[q].add(inst, channels)
             continue
-        sop = _unitary_superop(gate_unitary(inst))
-        for ch in channels:
-            sop = _embed_superop(ch.superop(), ch.qubits, qubits) @ sop
+        sop = gate_superop(inst, channels)
         parts = [take(q) for q in qubits]
         if parts[0] is not None or parts[1] is not None:
             sop = sop @ _pair_superop(*parts)
@@ -224,6 +198,187 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
     order = [live.index(q) for q in keep]
     rho = tensor.transpose(order + [k + a for a in order])
     return DensityMatrix(k, rho.reshape(1 << k, 1 << k))
+
+
+def observable_before(c: Circuit, noise, qubit: int, observable: np.ndarray,
+                      keep) -> np.ndarray:
+    """The observable W on the qubits ``keep`` (in that order) with
+    Tr[W rho] = Tr[O rho'] for every state rho of those qubits, where O is
+    the 1-qubit ``observable`` on ``qubit`` and rho' is what ``run_density``
+    gives after ``c`` from rho, every other qubit entering in |0>.
+
+    One backward pass in the Heisenberg picture: the transpose of W is
+    carried through the transpose of each gate's superoperator, each
+    1-qubit run merging into the 2-qubit gate before it.  It mirrors
+    ``run_density``'s live-qubit rule: a qubit joins as the identity at
+    its last multi-qubit gate (the 1-qubit gates after it act on the
+    identity, which every channel's adjoint keeps, and are skipped), and a
+    qubit outside ``keep`` is projected on |0> at its first gate.
+    """
+    n = c.width
+    keep = _check_density(c, keep)
+    if not 0 <= qubit < n:
+        raise CircuitError(f"qubit {qubit} out of range for {n} qubits")
+    first = {}
+    for i, inst in enumerate(c.gates):
+        for q in inst.qubits:
+            first.setdefault(q, i)
+
+    live = [qubit]                    # qubits the observable acts on, in axis order
+    tensor = np.asarray(observable, dtype=complex).T.copy()
+    pending: dict[int, list] = {}     # 1-qubit gates met on a wire, latest first
+
+    def channels(inst):
+        return noise.channels_for(inst) if noise is not None else ()
+
+    def take(q):
+        gates = pending.pop(q, None)
+        if gates is None:
+            return None
+        run = _QubitRun(q)
+        for inst in reversed(gates):
+            run.add(inst, channels(inst))
+        return run.superop().T
+
+    def axes(qubits):
+        rows = [live.index(q) for q in qubits]
+        return rows + [len(live) + a for a in rows]
+
+    def join(q):
+        nonlocal tensor
+        if q in live:
+            return
+        d = 1 << len(live)
+        tensor = tensor.reshape(d, 1, d, 1) * _I2.reshape(1, 2, 1, 2)
+        live.append(q)
+        tensor = tensor.reshape([2] * (2 * len(live)))
+
+    def flush(q):
+        nonlocal tensor
+        sop = take(q)
+        if sop is not None:
+            tensor = _apply_matrix(tensor, sop, axes((q,)))
+
+    def project(q):
+        nonlocal tensor
+        if q not in live:
+            return                    # only 1-qubit gates: it never reaches O
+        flush(q)
+        k, a = len(live), live.index(q)
+        index = [slice(None)] * (2 * k)
+        index[a] = index[k + a] = 0
+        tensor = np.ascontiguousarray(tensor[tuple(index)])
+        live.remove(q)
+
+    for i in range(len(c.gates) - 1, -1, -1):
+        inst = c.gates[i]
+        qubits = inst.qubits
+        if len(qubits) == 1:
+            if qubits[0] in live:
+                pending.setdefault(qubits[0], []).append(inst)
+        else:
+            sop = gate_superop(inst, channels(inst)).T
+            for q in qubits:
+                join(q)
+            parts = [take(q) for q in qubits]
+            if parts[0] is not None or parts[1] is not None:
+                sop = sop @ _pair_superop(*parts)
+            tensor = _apply_matrix(tensor, sop, axes(qubits))
+        for q in qubits:
+            if first[q] == i and q not in keep:
+                project(q)
+    if qubit not in keep and qubit in live:
+        project(qubit)                # no gate acts on it
+    for q in keep:
+        flush(q)
+        join(q)
+    k = len(live)
+    order = [live.index(q) for q in keep]
+    x = tensor.transpose(order + [k + a for a in order])
+    return np.ascontiguousarray(x.reshape(1 << k, 1 << k).T)
+
+
+def evolve_density(d: DensityMatrix, gates, noise) -> DensityMatrix:
+    """``d`` after the 1-qubit ``gates``, each followed by the channels
+    ``noise`` attaches to it; the gates on one qubit merge into one
+    superoperator, as in ``run_density``."""
+    runs: dict[int, _QubitRun] = {}
+    for inst in gates:
+        if len(inst.qubits) != 1:
+            raise CircuitError(f"expected 1-qubit gates, got {inst.gate.value} "
+                               f"on {inst.qubits}")
+        q = inst.qubits[0]
+        if q not in runs:
+            runs[q] = _QubitRun(q)
+        runs[q].add(inst, noise.channels_for(inst))
+    tensor = d.rho.reshape([2] * (2 * d.n))
+    for q, run in runs.items():
+        tensor = _apply_matrix(tensor, run.superop(), (q, d.n + q))
+    return DensityMatrix(d.n, tensor.reshape(d.rho.shape))
+
+
+class _QubitRun:
+    """A run of 1-qubit gates and their channels on qubit ``q``, kept as
+    D(survival) (u (x) u*) s: a 1-qubit depolarizing channel D commutes
+    with every 1-qubit unitary, so unitaries and depolarizing channels
+    only multiply u and the survival factor; other channels fold into the
+    4x4 s."""
+
+    def __init__(self, q: int):
+        self.q = q
+        self.s = None
+        self.u = _I2
+        self.survival = 1.0
+
+    def add(self, inst, channels) -> None:
+        self.u = target_matrix(inst.gate, inst.params) @ self.u
+        for ch in channels:
+            if isinstance(ch, DepolarizingChannel):
+                self.survival *= 1.0 - ch.p
+            else:
+                self.s = ch.superop() @ self.superop()
+                self.u, self.survival = _I2, 1.0
+
+    def superop(self) -> np.ndarray:
+        sop = _unitary_superop(self.u)
+        if self.s is not None:
+            sop = sop @ self.s
+        if self.survival < 1.0:
+            sop = DepolarizingChannel((self.q,), 1.0 - self.survival).superop() @ sop
+        return sop
+
+
+def check_density_width(n: int) -> None:
+    """Raise CircuitError when ``n`` qubits exceed ``DENSITY_QUBIT_CAP``."""
+    if n > DENSITY_QUBIT_CAP:
+        raise CircuitError(
+            f"density simulation capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
+
+
+def _check_density(c: Circuit, keep) -> tuple[int, ...]:
+    """``keep`` as a tuple (all qubits for None), once ``c`` passes the
+    width cap, ``keep`` names distinct qubits of ``c``, and every gate
+    acts on at most two qubits."""
+    n = c.width
+    check_density_width(n)
+    keep = tuple(range(n)) if keep is None else tuple(keep)
+    if len(set(keep)) != len(keep) or not all(0 <= q < n for q in keep):
+        raise CircuitError(f"keep {keep} is not a set of qubits of {n}")
+    for inst in c.gates:
+        if len(inst.qubits) > 2:
+            raise CircuitError(
+                f"density simulation takes gates on at most two qubits, "
+                f"got {inst.gate.value} on {inst.qubits}")
+    return keep
+
+
+def gate_superop(inst, channels) -> np.ndarray:
+    """Superoperator of a gate on at most two qubits followed by
+    ``channels``, each on the gate's qubits or one of them."""
+    sop = _unitary_superop(gate_unitary(inst))
+    for ch in channels:
+        sop = _embed_superop(ch.superop(), ch.qubits, inst.qubits) @ sop
+    return sop
 
 
 _I2 = np.eye(2, dtype=complex)

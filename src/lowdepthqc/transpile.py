@@ -22,6 +22,13 @@ conjugations.
 Multi-controlled X expands through the clean-work-qubit chain (2k-3
 Toffolis for k controls) when the circuit carries enough work wires,
 and each Toffoli through the standard 6-CNOT network.
+
+The walk can also be cut in two, for the noisy estimator's split after
+U_lam: one half stops with its last 1-qubit products still pending, and
+the other starts at the cut and hands back, per wire left pending there,
+the product that it multiplies onto the pending one before the wire's
+first flush.  Lowering that product times the pending one with
+``emit_1q`` gives the native gates the whole walk emits at that flush.
 """
 from __future__ import annotations
 
@@ -122,7 +129,9 @@ def _is_identity(u: np.ndarray) -> bool:
     return bool(np.allclose(u / ph, np.eye(2), atol=1e-9))
 
 
-def _emit_1q(q: int, u: np.ndarray, target: BasisTarget) -> list[GateInstance]:
+def emit_1q(q: int, u: np.ndarray, target: BasisTarget) -> list[GateInstance]:
+    """Native gates for the 1-qubit unitary ``u`` on wire ``q``, up to phase;
+    none for the identity."""
     if _is_identity(u):
         return []
     beta, gamma, delta = _zyz_angles(u)
@@ -153,7 +162,9 @@ class _Walk:
     """Lowers logical gates and emits native ones in the same pass.
 
     ``pos[logical]`` is the wire's physical position; ``pending[physical]``
-    is the 1-qubit product not yet emitted on that wire.
+    is the 1-qubit product not yet emitted on that wire.  The first flush
+    of a wire in ``leads`` stores its product there in place of emitting
+    it.
     """
 
     def __init__(self, c: Circuit, target: BasisTarget):
@@ -162,6 +173,7 @@ class _Walk:
         self.work = list(c.metadata.get("work_qubits", []))
         self.pos = list(range(c.width))
         self.pending: dict[int, np.ndarray] = {}
+        self.leads: dict[int, np.ndarray | None] = {}
         self.out: list[GateInstance] = []
 
     def _push(self, p: int, m: np.ndarray):
@@ -169,8 +181,12 @@ class _Walk:
 
     def flush(self, p: int):
         m = self.pending.pop(p, None)
-        if m is not None:
-            self.out.extend(_emit_1q(p, m, self.target))
+        if m is None:
+            return
+        if p in self.leads and self.leads[p] is None:
+            self.leads[p] = m
+        else:
+            self.out.extend(emit_1q(p, m, self.target))
 
     def _native_cx(self, pc: int, pt: int):
         pre_c, pre_t, post_c, post_t = self.dressings
@@ -238,33 +254,60 @@ class _Walk:
         for c1, c2, w in reversed(chain):
             self.toffoli(c1, c2, w)
 
+    def lower(self, gates):
+        """Walk the logical ``gates`` in order."""
+        for inst in gates:
+            g, ctr, tg, p = inst.gate, inst.controls, inst.targets, inst.params
+            if not ctr and g.n_targets == 1:
+                self.u(tg[0], _mat(g, *p))
+            elif g in (Gate.CNOT, Gate.MCX):
+                self.mcx(ctr, tg[0])
+            elif g is Gate.CRY:
+                half = p[0] / 2
+                self.u(tg[0], _mat(Gate.RY, half))
+                self.mcx(ctr, tg[0])
+                self.u(tg[0], _mat(Gate.RY, -half))
+                self.mcx(ctr, tg[0])
+            elif g is Gate.CU_ALT:
+                half = p[0] / 2
+                self.u(tg[0], _mat(Gate.RY, -half))
+                self.mcx(ctr, tg[0])
+                self.u(tg[0], _mat(Gate.RY, half))
+            else:
+                raise CircuitError(f"cannot lower {g.value}")
 
-def decompose(c: Circuit, target: BasisTarget) -> Circuit:
+
+def decompose(c: Circuit, target: BasisTarget, cut: int = 0,
+              flush: bool = True) -> Circuit:
     """Lower ``c`` to the native basis in one walk; tracks the routing
-    permutation in ``metadata["final_positions"]``."""
+    permutation in ``metadata["final_positions"]``.
+
+    ``flush=False`` leaves the 1-qubit products still pending at the end
+    unemitted, in ``metadata["pending"]`` by physical wire.  ``cut``
+    emits only what the gates from index ``cut`` on add: the gates before
+    it are walked for their routing and for the wires they leave a
+    product pending on, and each such wire's first flush goes, as the
+    product the later gates multiplied onto the pending one, to
+    ``metadata["leads"]``.  So ``emit_1q(p, leads[p] @ pending[p])`` is
+    what the whole walk emits at that flush, and the two halves together
+    emit the whole walk's gates, each lead-in moved to the cut past gates
+    on other wires only.
+    """
     walk = _Walk(c, target)
-    for inst in c.gates:
-        g, ctr, tg, p = inst.gate, inst.controls, inst.targets, inst.params
-        if not ctr and g.n_targets == 1:
-            walk.u(tg[0], _mat(g, *p))
-        elif g in (Gate.CNOT, Gate.MCX):
-            walk.mcx(ctr, tg[0])
-        elif g is Gate.CRY:
-            half = p[0] / 2
-            walk.u(tg[0], _mat(Gate.RY, half))
-            walk.mcx(ctr, tg[0])
-            walk.u(tg[0], _mat(Gate.RY, -half))
-            walk.mcx(ctr, tg[0])
-        elif g is Gate.CU_ALT:
-            half = p[0] / 2
-            walk.u(tg[0], _mat(Gate.RY, -half))
-            walk.mcx(ctr, tg[0])
-            walk.u(tg[0], _mat(Gate.RY, half))
-        else:
-            raise CircuitError(f"cannot lower {g.value}")
-    for q in sorted(walk.pending):
-        walk.flush(q)
+    walk.lower(c.gates[:cut])
+    if cut:
+        walk.out = []
+        walk.leads = dict.fromkeys(walk.pending)
+        walk.pending = dict.fromkeys(walk.pending, _I2)
+    walk.lower(c.gates[cut:])
     meta = dict(c.metadata)
+    if flush:
+        for q in sorted(walk.pending):
+            walk.flush(q)
+    else:
+        meta["pending"] = walk.pending
+    if cut:
+        meta["leads"] = walk.leads
     meta["final_positions"] = walk.pos
     return Circuit(c.width, tuple(walk.out), c.ancilla, meta)
 

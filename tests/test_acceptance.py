@@ -3,17 +3,17 @@
 Each test covers one headline claim of the package and prints a single
 PASS/FAIL verdict line with the measured numbers, so a full run leaves a
 nine-line scoreboard in the captured output.  The noisy-dynamics checks
-(7 and 8) run full density-matrix simulations through device noise
-profiles and do every optimizer sweep of a sampled run; on a 2-core
-machine they take about 5 and 2.5 minutes, and carry the ``slow``
-marker.  Everything else takes under half a minute in all, criterion 4's
-56-step noiseless run included (about 2 s).
+(7 and 8) run density-matrix simulations through device noise profiles,
+each estimator circuit cut after U_lam, and do every optimizer sweep of
+a sampled run; on a 2-core machine they take about 11 s each (5 and 2.5
+minutes when every circuit was simulated whole), and no test carries
+the ``slow`` marker.  Criterion 4's 56-step noiseless run takes about
+2 s.
 """
 import csv
 import math
 
 import numpy as np
-import pytest
 
 from lowdepthqc.ansatz import AnsatzSpec, BaselineSpec, Head, Variant, \
     ansatz_state, bind_parameter, build_ansatz, build_baseline
@@ -191,7 +191,6 @@ def _noisy_run(out, profile, steps, shots, seed, snapshots=()):
     return _read_series(out)
 
 
-@pytest.mark.slow
 def test_criterion_7_noise_ordering(tmp_path):
     ion = _noisy_run(tmp_path / "aqt", "aqt-ibex", 3, 20000, 2,
                      snapshots=(0.0, 0.6))
@@ -212,7 +211,6 @@ def test_criterion_7_noise_ordering(tmp_path):
              f"IBM t=0.2 (<=0.60): {ibm_text}")
 
 
-@pytest.mark.slow
 def test_criterion_8_low_shot_analogue(tmp_path):
     first, second = [], []
     for seed in range(5):

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, ansatz_state, build_ansatz
+from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
+                               bind_parameter, build_ansatz)
 from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
                                 bracket_oracle, bracket_weights,
                                 classical_step, classical_trajectory,
                                 evaluate_cost_direct, family_shots,
                                 gterm_values, infidelity,
                                 initial_condition_gaussian, step_matrix)
-from lowdepthqc.hadamard import AdderSpec, EstimatorMode, GTermKind, adder_matrix
+from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
+                                 adder_matrix, build_gterm_circuit,
+                                 noisy_expectation)
+from lowdepthqc.noise import NoiseModel, builtin_profiles
+from lowdepthqc.simulator import ShotConfig, sample_from_expectation
 
 
 def test_grid_geometry():
@@ -161,3 +166,35 @@ def test_inviscid_bracket_skips_the_shift_families(rng):
     assert mode.families == [FAMILIES[0], FAMILIES[3], FAMILIES[4]]
     want = bracket_oracle(g, prev, np.real(ansatz_state(spec, p_l)))
     assert abs(got - want) <= 1e-10
+
+
+@pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane"])
+def test_noisy_bracket_draws_as_the_whole_circuits_do(rng, profile):
+    """Per binding, the bracket of the cut tests equals the one sampled
+    from each whole circuit's ``noisy_expectation``, drawing the same
+    shots from an identically seeded stream in ``FAMILIES`` order."""
+    g = BurgersGrid(2, 0.2, 0.01)
+    spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
+    p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
+                      build_ansatz(spec, p_t))
+    model = NoiseModel(builtin_profiles()[profile])
+    mode = EstimatorMode(shots=400, noise=model, rng=np.random.default_rng(7))
+    reference = np.random.default_rng(7)
+    p_l = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    for j in range(spec.parameter_count):
+        for b in (0.0, math.pi, 2 * math.pi, float(rng.uniform(-math.pi, math.pi))):
+            u_lam = build_ansatz(spec, bind_parameter(p_l, j, b))
+            got = gterm_values(g, prev, u_lam, mode)
+            want = 0.0
+            for (kind, direction), weight, count in zip(
+                    FAMILIES, bracket_weights(g, prev.lam),
+                    family_shots(g, prev, mode.shots)):
+                circ = build_gterm_circuit(kind, prev.circuit, u_lam,
+                                           direction=direction)
+                z = noisy_expectation(circ, model, model.basis)
+                want += weight * sample_from_expectation(
+                    z, ShotConfig(count), reference)
+            assert abs(got - want) <= 1e-12
+            assert (mode.rng.bit_generator.state
+                    == reference.bit_generator.state)

@@ -146,15 +146,22 @@ def test_fit_reports_the_state_run_starts_from(tmp_path):
     assert fit["infidelity"] == run["fit_infidelity"]
 
 
-@pytest.mark.parametrize("shots, circuits", [
+@pytest.mark.parametrize("shots, circuits, passes", [
     # exact slices come from coordinate environments, with no circuit run
-    (None, 0),
-    # 2 sweeps x 3 parameters x 3 bindings x 5 families of nonzero weight
-    (50, 90),
-])
-def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits):
+    (None, 0, 0),
+    # 2 sweeps x 3 parameters x 3 bindings x 5 families of nonzero weight,
+    # each simulated as a statevector
+    (50, 90, 0),
+    # the same tests, cut after U_lam: one forward pass per binding (18)
+    # and one backward pass per family's tail (5)
+    (50, 90, 23),
+], ids=["None-0", "50-90", "noisy-50-90"])
+def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
+                                              passes):
     argv = ["run", "-n", "2", "-d", "1", "--steps", "1", "--sweeps", "2",
             "--out", str(tmp_path)]
+    if passes:
+        argv = ["noisy-run", "--profile", "aqt-ibex"] + argv[1:]
     if shots is not None:
         argv += ["--shots", str(shots)]
     assert main(argv) == 0
@@ -162,6 +169,8 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits):
     traces = _read_csv(tmp_path / "cost_trace.csv")[1:]
     assert summary["coordinate_updates"] == len(traces)
     assert summary["estimator_circuits"] == circuits
+    assert summary["density_passes"] == passes
+    assert (summary["native_gates_simulated"] > 0) == (passes > 0)
     if shots is not None:
         assert len(traces) == 2 * 3
 
@@ -226,6 +235,25 @@ def test_benchmark_probes_attach(tmp_path, command, variant, layers):
     spans = {span[0] for span in data["spans"]}
     assert {"burgers.gterm", "hadamard.evaluate", "sgeo.optimize",
             "sgeo.fit"} | layers <= spans
+
+
+def test_density_cap_exits_2_before_the_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an over-wide run reached the initial-state fit")
+
+    monkeypatch.setattr("lowdepthqc.cli.fit_initial_state", no_fit)
+    # a 20-qubit linear chain covers the 14 wires of the n=5 shift_diag circuit
+    chain = tmp_path / "chain.csv"
+    rows = ["qubit,t1,t2,p01,p10,err_1q,pair_a,pair_b,err_2q"]
+    rows += [f"{q},200,150,0.01,0.02,0.0003,{q},{q + 1},0.005" for q in range(19)]
+    rows.append("19,200,150,0.01,0.02,0.0003,,,")
+    chain.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["noisy-run", "-n", "5", "-d", "1", "--steps", "1",
+                 "--sweeps", "1", "--shots", "10", "--profile-csv", str(chain),
+                 "--out", str(out)]) == 2
+    assert "density simulation capped at 12 qubits, got 14" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _calibration_csv(path, columns, qubits=range(12), **values):

@@ -9,6 +9,7 @@ from lowdepthqc.elision import detect_hadamard_form
 from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
                                  adder_gates, adder_matrix, apportion_shots,
                                  build_gterm_circuit, gterm_oracle)
+from lowdepthqc.noise import NoiseModel, builtin_profiles
 from lowdepthqc.simulator import run_statevector
 
 
@@ -119,3 +120,14 @@ def test_apportion_shots_is_exact_and_proportional():
     for total, weights in ((1, (1.0, 1.0)), (1, (0.0, 0.0))):
         with pytest.raises(ValueError):
             apportion_shots(total, weights)
+
+
+def test_cut_tests_need_the_structure_of_u_t():
+    mode = EstimatorMode(noise=NoiseModel(builtin_profiles()["aqt-ibex"]))
+    spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
+    u_t = build_ansatz(spec, (0.1, 0.2, 0.3))
+    assert len(mode.cut_tests(u_t, build_ansatz(spec, (0.4, 0.5, 0.6)),
+                              [(GTermKind.OVERLAP, "plus")])) == 1
+    other = build_ansatz(AnsatzSpec(2, 1, Variant.CRY, Head.RY), (0.4, 0.5, 0.6))
+    with pytest.raises(ValueError, match="gate structure"):
+        mode.cut_tests(u_t, other, [(GTermKind.OVERLAP, "plus")])

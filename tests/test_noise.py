@@ -278,3 +278,95 @@ def test_reduced_density_is_the_partial_trace(rng):
             got = run_density(c, noise=model, keep=keep)
             assert got.n == len(keep)
             assert np.max(np.abs(got.rho - _partial_trace(full, width, keep))) <= 1e-12
+
+
+def test_observable_before_is_the_adjoint_of_the_evolution(rng):
+    """Tr[W sigma] for the observable carried back through a noisy native
+    circuit equals Tr[O rho'] for the state evolved forward from sigma on
+    the kept qubits, every other qubit starting in |0>.  The next-to-last
+    qubit is idle and the last carries only 1-qubit gates, so untouched and
+    never-entangled qubits, observed, kept or neither, are covered too."""
+    from lowdepthqc.simulator import observable_before
+
+    model = NoiseModel(builtin_profiles()["aqt-ibex"], "depol_plus_thermal")
+    for _ in range(6):
+        idle = int(rng.integers(2, 5))
+        width = idle + 2
+        lone = (GateInstance(Gate.SX, (), (idle + 1,)),
+                GateInstance(Gate.R, (), (idle + 1,),
+                             tuple(rng.uniform(-math.pi, math.pi, 2))),
+                GateInstance(Gate.SX, (), (idle + 1,)))
+        c = _random_native_circuit(rng, idle + 1, 25)
+        c = Circuit(width, lone[:1] + c.gates + lone[1:])
+        for keep in ((0,), (idle,), (idle + 1,), (2, 0),
+                     tuple(range(width))[::-1]):
+            qubit = int(rng.integers(width))
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            obs = a + a.conj().T
+            sigma = _random_density(rng, len(keep))
+            k = len(keep)
+            perm = list(np.argsort(keep))
+            index = [0] * (2 * width)
+            for q in keep:
+                index[q] = index[width + q] = slice(None)
+            start = np.zeros([2] * (2 * width), dtype=complex)
+            start[tuple(index)] = sigma.reshape([2] * (2 * k)).transpose(
+                perm + [k + p for p in perm])
+            rho = start.reshape(1 << width, 1 << width)
+            for inst in c.gates:
+                from conftest import embed_gate
+                u = embed_gate(inst, width)
+                rho = u @ rho @ u.conj().T
+                for ch in model.channels_for(inst):
+                    rho = _kraus_sum(ch, rho, width)
+            want = np.trace(obs @ _partial_trace(rho, width, (qubit,)))
+            w = observable_before(c, model, qubit, obs, keep)
+            assert w.shape == (1 << k, 1 << k)
+            assert abs(np.trace(w @ sigma) - want) <= 1e-12
+
+
+def test_observable_before_enforces_the_density_cap():
+    from lowdepthqc.circuit import CircuitError
+    from lowdepthqc.simulator import DENSITY_QUBIT_CAP, observable_before
+
+    wide = Circuit(DENSITY_QUBIT_CAP + 1, (GateInstance(Gate.SX, (), (0,)),))
+    with pytest.raises(CircuitError, match="capped at"):
+        observable_before(wide, None, 0, np.diag([1.0, -1.0]), (0,))
+
+
+@pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
+@pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane",
+                                     "ibm-sherbrook", "ibm-kingston"])
+def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
+    """Each family's value from the opening's density, the lead-ins and the
+    tail observable is the whole circuit's ``noisy_expectation``: both
+    variants and heads, random angles and, cycling over the cases, one
+    parameter bound to 0, pi or 2 pi, where ``emit_1q`` drops gates."""
+    from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, bind_parameter,
+                                   build_ansatz)
+    from lowdepthqc.burgers import FAMILIES
+    from lowdepthqc.hadamard import EstimatorMode, build_gterm_circuit
+
+    model = NoiseModel(builtin_profiles()[profile], recipe)
+    special = (0.0, math.pi, 2 * math.pi)
+    shift = sorted(builtin_profiles()).index(profile)
+    for n in (2, 3, 4) if profile == "aqt-ibex" else (2, 3):
+        for i, (variant, head) in enumerate((
+                (Variant.CRY, Head.X), (Variant.CU_ALT, Head.RY),
+                (Variant.CRY, Head.RY), (Variant.CU_ALT, Head.X))[:4 - 2 * (n > 2)]):
+            spec = AnsatzSpec(n, 1, variant, head)
+            draw = lambda: tuple(rng.uniform(-math.pi, math.pi,  # noqa: E731
+                                             spec.parameter_count))
+            u_t, p_lam = build_ansatz(spec, draw()), draw()
+            j = int(rng.integers(spec.parameter_count))
+            mode = EstimatorMode(noise=model)
+            for b in (None, special[(i + shift) % 3]):
+                u_lam = build_ansatz(spec, p_lam if b is None
+                                     else bind_parameter(p_lam, j, b))
+                tests = mode.cut_tests(u_t, u_lam, FAMILIES)
+                for (kind, direction), test in zip(FAMILIES, tests):
+                    whole = build_gterm_circuit(kind, u_t, u_lam,
+                                                direction=direction)
+                    want = noisy_expectation(whole, model, model.basis)
+                    got = mode.evaluate(test)
+                    assert abs(got - want) <= 1e-12, (n, variant, head, b, kind)

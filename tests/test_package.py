@@ -24,6 +24,9 @@ KEPT_REFERENCES = {
     "kraus": "explicit Kraus family that superop() is checked against",
     "scaled": "error-scaled calibration for the benchmark's noiseless "
               "limit and the noise-monotonicity test",
+    "noisy_expectation": "whole-circuit noisy estimate that the split "
+                         "noisy estimator and the benchmark's noiseless "
+                         "limit are checked against",
 }
 
 
