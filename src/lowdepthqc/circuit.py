@@ -27,8 +27,10 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -202,11 +204,35 @@ _XX = np.kron(_PX, _PX)
 _ECR = (np.kron(_I2, _PX) - np.kron(_PX, _PY)) / math.sqrt(2)
 
 
+# bound on each memo table of the 1-qubit hot path: here and in
+# ``transpile.emit_1q``
+TABLE_SIZE = 4096
+
+
 def target_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
     """Unitary applied to the target wire(s) when all controls are |1>.
 
-    2x2 for single-target kinds, 4x4 for two-target kinds.
+    2x2 for single-target kinds, 4x4 for two-target kinds.  The result is
+    read-only and shared: a table of ``TABLE_SIZE`` entries, least recently
+    used first out, keeps it under the kind and the angles' 64-bit
+    patterns, so ``-0.0`` (which ``invert_gate`` makes from a zero angle)
+    and ``0.0`` stay apart.  ``target_matrix.cache_info()`` counts its hits
+    and misses.
     """
+    return _target_matrix_table(gate, struct.pack(f"{len(params)}d", *params))
+
+
+@functools.lru_cache(maxsize=TABLE_SIZE)
+def _target_matrix_table(gate: Gate, bits: bytes) -> np.ndarray:
+    m = _target_matrix(gate, struct.unpack(f"{len(bits) // 8}d", bits))
+    m.setflags(write=False)
+    return m
+
+
+target_matrix.cache_info = _target_matrix_table.cache_info
+
+
+def _target_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
     if gate is Gate.H:
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if gate is Gate.X or gate is Gate.CNOT or gate is Gate.MCX:

@@ -35,7 +35,8 @@ from .ansatz import AnsatzSpec, BaselineSpec, Head, Variant, ansatz_state, \
 from .burgers import (BurgersGrid, FieldState, bracket_oracle,
                       classical_trajectory, infidelity,
                       initial_condition_gaussian)
-from .circuit import CircuitError, parse_circuit, serialize_circuit
+from .circuit import (CircuitError, parse_circuit, serialize_circuit,
+                      target_matrix)
 from .elision import (NotHadamardForm, detect_hadamard_form, elide_body,
                       statevector_deviation)
 from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
@@ -43,7 +44,7 @@ from .noise import (RECIPES, MissingPairError, NoiseModel, builtin_profiles,
                     load_calibration_csv)
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
 from .simulator import check_density_width
-from .transpile import BasisTarget, count_report, decompose
+from .transpile import BasisTarget, count_report, decompose, emit_1q
 
 
 class ConfigError(Exception):
@@ -113,7 +114,7 @@ def _load_config(path: str | None) -> dict:
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 # n_max >= 3 because gatecount's table starts at n=3
-_LOWER_BOUNDS = {"steps": 0, "sweeps": 1, "shots": 1, "n_max": 3}
+_LOWER_BOUNDS = {"seed": 0, "steps": 0, "sweeps": 1, "shots": 1, "n_max": 3}
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -224,6 +225,21 @@ def _fit(cfg: ExperimentConfig, ic):
                              seed=cfg.seed)
 
 
+# memo tables of the 1-qubit hot path, whose traffic a run's summary reports
+_TABLES = {"emit_1q_cache": emit_1q, "target_matrix_cache": target_matrix}
+
+
+def _table_counts() -> dict:
+    return {name: fn.cache_info() for name, fn in _TABLES.items()}
+
+
+def _table_traffic(before: dict) -> dict:
+    """Hits and misses of each memo table since ``before``."""
+    return {name: {"hits": info.hits - before[name].hits,
+                   "misses": info.misses - before[name].misses}
+            for name, info in _table_counts().items()}
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -284,8 +300,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
-    """Shared noiseless/noisy driver; returns (record, series rows)."""
+def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode, tables: dict):
+    """Shared noiseless/noisy dynamics loop; returns (record, series rows).
+    ``tables`` holds the memo counts from the command's start."""
     grid = cfg.grid()
     spec = cfg.ansatz()
     t_start = time.time()
@@ -335,6 +352,7 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode):
                "estimator_circuits": mode.circuits,
                "density_passes": mode.density_passes,
                "native_gates_simulated": mode.native_gates,
+               **_table_traffic(tables),
                "wall_time_s": time.time() - t_start}
     return grid, classical, series, traces, snapshots, summary
 
@@ -371,9 +389,10 @@ def _emit_dynamics(cfg: ExperimentConfig, grid, classical, series, traces,
 
 
 def cmd_run(args) -> int:
+    tables = _table_counts()
     cfg = _build_config(args)
     mode = _estimator(cfg, "run")
-    parts = _run_dynamics(cfg, mode)
+    parts = _run_dynamics(cfg, mode, tables)
     rec = _emit_dynamics(cfg, *parts, label="burgers_run")
     s = rec.summary
     print(f"run: {cfg.steps} steps, worst infidelity {s['worst_infidelity']:.3e}, "
@@ -384,12 +403,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_noisy_run(args) -> int:
+    tables = _table_counts()
     cfg = _build_config(args)
     if not (cfg.profile or cfg.profile_csv):
         raise ConfigError("noisy-run requires a noise profile "
                           "(--profile or profile_csv)")
     mode = _estimator(cfg, "noisy-run")
-    parts = _run_dynamics(cfg, mode)
+    parts = _run_dynamics(cfg, mode, tables)
     rec = _emit_dynamics(cfg, *parts, label="noisy_burgers")
     s = rec.summary
     print(f"noisy-run [{cfg.profile}]: {cfg.steps} steps, "
@@ -399,6 +419,7 @@ def cmd_noisy_run(args) -> int:
 
 def cmd_gatecount(args) -> int:
     cfg = _build_config(args)
+    tables = _table_counts()
     rows = []
     for n in range(3, cfg.n_max + 1):
         low = AnsatzSpec(n, 2 * n - 3, cfg.variant, cfg.head)
@@ -420,7 +441,7 @@ def cmd_gatecount(args) -> int:
     for row in rows:
         print("gatecount: n=%d %s %-12s g1=%-5d g2=%-4d depth=%d" % row)
     rec = RunRecord({"n_max": cfg.n_max, "variant": cfg.variant.value},
-                    [str(out / "gatecount.csv")], {})
+                    [str(out / "gatecount.csv")], _table_traffic(tables))
     rec.save(out)
     if cfg.assert_thresholds:
         by = {(r[0], r[1], r[2]): r for r in rows}

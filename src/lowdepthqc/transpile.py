@@ -29,17 +29,28 @@ the other starts at the cut and hands back, per wire left pending there,
 the product that it multiplies onto the pending one before the wire's
 first flush.  Lowering that product times the pending one with
 ``emit_1q`` gives the native gates the whole walk emits at that flush.
+
+A lowering re-derives the same few 1-qubit products many times over, so
+the two pure functions on that path answer from exact tables of
+``circuit.TABLE_SIZE`` entries each, least recently used first out:
+``emit_1q`` keyed on the wire, the bytes of the product as complex128
+and the target, and ``circuit.target_matrix`` keyed on the kind and the
+angles' bit patterns.  No key is rounded, so a table returns what the
+function computes; ``emit_1q.cache_info()`` and
+``target_matrix.cache_info()`` count the traffic.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitError, Gate, GateInstance, target_matrix)
+from .circuit import (TABLE_SIZE, Circuit, CircuitError, Gate, GateInstance,
+                      target_matrix)
 
 
 class BasisTarget(Enum):
@@ -77,9 +88,7 @@ def _kron_factor(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-_DRESSING_CACHE: dict[BasisTarget, tuple] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _cx_dressings(target: BasisTarget):
     """(pre_c, pre_t, post_c, post_t) 1q matrices around the native entangler.
 
@@ -88,8 +97,6 @@ def _cx_dressings(target: BasisTarget):
     solving for them numerically keeps the identity correct by
     construction for either entangler convention.
     """
-    if target in _DRESSING_CACHE:
-        return _DRESSING_CACHE[target]
     h = _mat(Gate.H)
     if target is BasisTarget.SC:
         pre_c, pre_t = h, h
@@ -99,8 +106,7 @@ def _cx_dressings(target: BasisTarget):
         m2 = target_matrix(Gate.RXX, (math.pi / 2,))
     pre = np.kron(pre_c, pre_t if pre_t is not None else np.eye(2))
     post_c, post_t = _kron_factor(_CX_MATRIX @ pre.conj().T @ m2.conj().T)
-    _DRESSING_CACHE[target] = (pre_c, pre_t, post_c, post_t)
-    return _DRESSING_CACHE[target]
+    return pre_c, pre_t, post_c, post_t
 
 
 def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -131,7 +137,22 @@ def _is_identity(u: np.ndarray) -> bool:
 
 def emit_1q(q: int, u: np.ndarray, target: BasisTarget) -> list[GateInstance]:
     """Native gates for the 1-qubit unitary ``u`` on wire ``q``, up to phase;
-    none for the identity."""
+    none for the identity.  A fresh list of shared instances, from the
+    table described in the module docstring."""
+    return list(_emit_1q_table(q, np.asarray(u, complex).tobytes(), target))
+
+
+@functools.lru_cache(maxsize=TABLE_SIZE)
+def _emit_1q_table(q: int, u_bytes: bytes, target: BasisTarget
+                   ) -> tuple[GateInstance, ...]:
+    u = np.frombuffer(u_bytes, complex).reshape(2, 2)
+    return tuple(_emit_1q(q, u, target))
+
+
+emit_1q.cache_info = _emit_1q_table.cache_info
+
+
+def _emit_1q(q: int, u: np.ndarray, target: BasisTarget) -> list[GateInstance]:
     if _is_identity(u):
         return []
     beta, gamma, delta = _zyz_angles(u)
@@ -314,18 +335,19 @@ def decompose(c: Circuit, target: BasisTarget, cut: int = 0,
 
 def count_report(c: Circuit, target: BasisTarget) -> GateCountReport:
     native = decompose(c, target)
-    g1 = g2 = 0
-    wire_depth = [0] * native.width
+    g2 = 0
+    depth = [0] * native.width
+    # native gates carry no controls: each touches its one or two targets
     for inst in native.gates:
-        touched = inst.qubits
+        touched = inst.targets
         if len(touched) == 2:
+            a, b = touched
+            da, db = depth[a], depth[b]
+            depth[a] = depth[b] = (da if da > db else db) + 1
             g2 += 1
         else:
-            g1 += 1
-        level = max(wire_depth[q] for q in touched) + 1
-        for q in touched:
-            wire_depth[q] = level
-    return GateCountReport(g1, g2, max(wire_depth, default=0))
+            depth[touched[0]] += 1
+    return GateCountReport(len(native.gates) - g2, g2, max(depth, default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from lowdepthqc.circuit import (Circuit, CircuitError, CircuitSyntaxError,
                                 Gate, GateInstance, controlled_kind, dagger,
                                 format_angle, gate_unitary, parse_circuit,
                                 serialize_circuit, target_matrix)
+from lowdepthqc.circuit import _target_matrix
 
 from conftest import dense_unitary, random_circuit
 
@@ -135,3 +136,25 @@ def test_control_count_rule():
     others = set(Gate) - {Gate.X, Gate.CNOT, Gate.MCX, Gate.RY, Gate.CRY}
     for gate in others:
         assert all(controlled_kind(gate, k) is gate for k in range(3))
+
+
+def test_target_matrix_table_is_exact_and_read_only(rng):
+    # invert_gate makes -0.0 from a zero angle; its matrix differs in the
+    # sign of a zero, so the table must keep the two apart
+    assert _target_matrix(Gate.RZ, (-0.0,)).tobytes() != \
+        _target_matrix(Gate.RZ, (0.0,)).tobytes()
+    # each key twice: the second call of each is answered by the table
+    for params in ((-0.0,), (0.0,), (-0.0,), (0.0,)):
+        assert target_matrix(Gate.RZ, params).tobytes() == \
+            _target_matrix(Gate.RZ, params).tobytes()
+    for g in Gate:
+        for _ in range(5):
+            params = tuple(rng.uniform(-7, 7, g.n_params))
+            for _call in range(2):
+                m = target_matrix(g, params)
+                want = _target_matrix(g, params)
+                assert m.dtype == want.dtype and m.shape == want.shape
+                assert m.tobytes() == want.tobytes(), g
+    m = target_matrix(Gate.H, ())
+    with pytest.raises(ValueError):
+        m[0, 0] = 0

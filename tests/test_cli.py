@@ -87,6 +87,9 @@ def test_gatecount_command(tmp_path):
     rows = _read_csv(out / "gatecount.csv")
     assert rows[0] == ["n", "basis", "scheme", "g1", "g2", "depth"]
     assert len(rows) == 1 + 4  # one n, 2 bases x 2 schemes
+    summary = json.loads((out / "run.json").read_text())["summary"]
+    assert summary["emit_1q_cache"]["hits"] > 0
+    assert summary["target_matrix_cache"]["hits"] > 0
 
 
 def test_elide_command(tmp_path, rng):
@@ -171,6 +174,11 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     assert summary["estimator_circuits"] == circuits
     assert summary["density_passes"] == passes
     assert (summary["native_gates_simulated"] > 0) == (passes > 0)
+    # the memo tables' traffic: only a noisy run lowers to native gates
+    emit, matrices = summary["emit_1q_cache"], summary["target_matrix_cache"]
+    assert set(emit) == set(matrices) == {"hits", "misses"}
+    assert (emit["hits"] + emit["misses"] > 0) == (passes > 0)
+    assert matrices["hits"] + matrices["misses"] > 0
     if shots is not None:
         assert len(traces) == 2 * 3
 
@@ -183,6 +191,8 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     ["gatecount", "--n-max", "2", "--assert"],
     ["run", "-n", "2", "-d", "1", "--steps", "2", "--snapshots", "5.0", "-1"],
     ["run", "-n", "2", "-d", "1", "--steps", "2", "--snapshots", "0.0", "-1"],
+    ["run", "--seed", "-1"],
+    ["gatecount", "--seed", "-1"],
 ])
 def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"

@@ -5,11 +5,13 @@ import pytest
 
 from lowdepthqc.ansatz import AnsatzSpec, BaselineSpec, Head, Variant, \
     build_ansatz, build_baseline
-from lowdepthqc.circuit import Circuit, CircuitError, Gate, GateInstance
+from lowdepthqc.circuit import (Circuit, CircuitError, Gate, GateInstance,
+                                target_matrix)
 from lowdepthqc.hadamard import GTermKind, build_gterm_circuit
 from lowdepthqc.simulator import run_statevector
-from lowdepthqc.transpile import (BasisTarget, count_report, decompose,
-                                  equivalent_up_to_phase, permuted_amps)
+from lowdepthqc.transpile import (BasisTarget, _emit_1q, count_report,
+                                  decompose, emit_1q, equivalent_up_to_phase,
+                                  permuted_amps)
 
 from conftest import random_circuit
 
@@ -145,3 +147,50 @@ def test_elision_reduces_native_counts(rng):
         a = count_report(elided, target)
         b = count_report(kept, target)
         assert a.g2 < b.g2
+
+
+def _exact(gates):
+    """Kinds, wires and angle bit patterns of a native gate list."""
+    return [(g.gate, g.controls, g.targets, tuple(map(float.hex, g.params)))
+            for g in gates]
+
+
+def _random_su2(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q / np.sqrt(np.linalg.det(q))
+
+
+def test_emit_1q_table_returns_what_the_lowering_computes(rng):
+    rz = lambda a: target_matrix(Gate.RZ, (a,))
+    ry = lambda a: target_matrix(Gate.RY, (a,))
+    h = target_matrix(Gate.H, ())
+    products = [_random_su2(rng) for _ in range(40)]
+    # within 1e-9 of the identity, and just outside it
+    products += [np.exp(0.3j) * (np.eye(2) + eps * _random_su2(rng))
+                 for eps in (0.0, 1e-10, 5e-10, 1e-8)]
+    products += [rz(a) for a in (0.7, -2.1, 1e-10, 0.0, -0.0)]
+    # products at the bindings 0, pi and 2 pi, where gates drop out
+    for b in (0.0, math.pi, 2 * math.pi):
+        products += [ry(b) @ rz(0.4), rz(b) @ h @ ry(b), ry(b) @ ry(-b),
+                     rz(-b) @ h @ rz(b) @ h]
+    products.append(np.real(ry(0.7)))                    # real dtype
+    # signed zeros: cmath.phase reads -1-0j and -1+0j as -pi and pi
+    products += [np.array([[-1, 0], [0, -1]], complex),
+                 np.array([[complex(-1, -0.0), 0], [0, complex(-1, -0.0)]]),
+                 np.array([[-0.0, 1], [1, -0.0]]),
+                 np.array([[complex(0.0, -0.0), 1j], [1j, 0]])]
+    for u in products:
+        for target in BasisTarget:
+            for q in (0, 3):
+                want = _exact(_emit_1q(q, u, target))
+                assert _exact(emit_1q(q, u, target)) == want      # miss
+                assert _exact(emit_1q(q, u, target)) == want      # hit
+
+
+def test_emit_1q_returns_a_fresh_list_each_call(rng):
+    u = _random_su2(rng)
+    a = emit_1q(1, u, BasisTarget.SC)
+    b = emit_1q(1, u, BasisTarget.SC)
+    assert a == b and a is not b
+    a.clear()
+    assert emit_1q(1, u, BasisTarget.SC) == b
