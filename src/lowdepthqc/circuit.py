@@ -68,6 +68,10 @@ class Gate(Enum):
     CRY = ("cry", 1, 1, 1)
     CU_ALT = ("cu_alt", 1, 1, 1)
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash serves in place of Enum's Python-level hash of the name
+    __hash__ = object.__hash__
+
     def __new__(cls, name: str, n_params: int, n_targets: int, base_controls: int):
         member = object.__new__(cls)
         member._value_ = name

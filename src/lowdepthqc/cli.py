@@ -352,6 +352,8 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode, tables: dict):
                "estimator_circuits": mode.circuits,
                "density_passes": mode.density_passes,
                "native_gates_simulated": mode.native_gates,
+               "lead_in_table": {"hits": mode.lead_in_hits,
+                                 "misses": mode.lead_in_misses},
                **_table_traffic(tables),
                "wall_time_s": time.time() - t_start}
     return grid, classical, series, traces, snapshots, summary

@@ -17,9 +17,13 @@ follows (copy network, inverse evolutions, adder, closing H) depends on
 the family and on U_t.  A noisy estimator cuts each circuit there
 (``EstimatorMode.cut_tests``).  Per family and U_t, a ``TailObservable``
 carries the readout-folded ancilla Z back through the lowered, noisy
-tail to the cut, once.  Per U_lam, the opening is lowered and
-density-evolved once on its n + 1 wires, and each family's value is a
-trace against its tail observable.
+tail to the cut, once.  Per U_lam, the opening is lowered once on its
+n + 1 wires, and its density pass resumes from the native gates it
+shares with the mode's previous opening (``simulator.DensityResume``).
+Each family's value is one trace against its tail observable with the
+family's lead-in, the native lowering of what the opening leaves
+pending, folded in; the tail keeps one such observable per pending
+product it meets.
 """
 from __future__ import annotations
 
@@ -31,9 +35,9 @@ import numpy as np
 from . import transpile
 from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
-from .simulator import (DensityMatrix, ShotConfig, ancilla_expectation_z,
-                        density_expectation_z, evolve_density,
-                        observable_before, run_density, run_statevector,
+from .simulator import (DensityResume, ShotConfig, ancilla_expectation_z,
+                        density_expectation_z, observable_before,
+                        observable_before_1q, run_density, run_statevector,
                         sample_from_expectation)
 
 
@@ -184,7 +188,9 @@ class EstimatorMode:
     ``circuits`` counts the Hadamard tests estimated so far;
     ``density_passes`` counts the density-matrix passes of the
     ``cut_tests`` path, forward or backward, and ``native_gates`` the
-    native gates those passes and the lead-ins simulated.
+    native gates they simulated: a resumed opening counts the gates it
+    walked again, and a lead-in counts when its tail's table misses
+    (``lead_in_misses``) and not when it hits (``lead_in_hits``).
     """
 
     shots: int | None = None
@@ -193,8 +199,13 @@ class EstimatorMode:
     circuits: int = 0
     density_passes: int = 0
     native_gates: int = 0
+    lead_in_hits: int = 0
+    lead_in_misses: int = 0
     # (U_t, {family: TailObservable}) of the U_t last passed to cut_tests
     _tails: tuple = field(default=(None, None), repr=False, compare=False)
+    # the last opening's density pass, which the next one resumes from
+    _opening: DensityResume = field(default_factory=DensityResume,
+                                    repr=False, compare=False)
 
     @classmethod
     def exact(cls) -> "EstimatorMode":
@@ -214,9 +225,13 @@ class EstimatorMode:
                 z = noisy_expectation(test, self.noise, self.noise.basis)
         else:
             (rho, pending), tail = test
-            lead_in = tail.lead_in(pending)
-            z = tail.expectation(evolve_density(rho, lead_in, self.noise))
-            self.native_gates += len(lead_in)
+            m, lead_in = tail.observable(pending)
+            if lead_in is None:
+                self.lead_in_hits += 1
+            else:
+                self.lead_in_misses += 1
+                self.native_gates += len(lead_in)
+            z = float(np.real(np.einsum("ij,ji->", m, rho.rho)))
         if self.shots is not None:
             count = self.shots if shots is None else shots
             z = sample_from_expectation(z, ShotConfig(count), rng=self.rng)
@@ -232,7 +247,8 @@ class EstimatorMode:
         the tails are built, with U_t in U_lam's place, when a U_t first
         comes (once per time step) and reused while it comes back.  The
         prefix, the density of the opening H and U_lam with each wire's
-        pending 1-qubit product, is evolved once for all the families.
+        pending 1-qubit product, is evolved once for all the families,
+        resuming from the mode's previous opening.
         """
         if _structure(u_lam) != _structure(u_t):
             raise ValueError("U_lam must have the gate structure of U_t")
@@ -251,10 +267,10 @@ class EstimatorMode:
                                      ancilla=0), 0)
         native = transpile.decompose(opening, self.noise.basis, flush=False)
         prefix = (run_density(native, noise=self.noise,
-                              keep=range(opening.width)),
+                              keep=range(opening.width), resume=self._opening),
                   native.metadata["pending"])
         self.density_passes += 1
-        self.native_gates += len(native.gates)
+        self.native_gates += self._opening.simulated
         return [(prefix, tails[family]) for family in families]
 
 
@@ -276,7 +292,9 @@ class TailObservable:
     native lowering of ``leads[p] @ pending[p]``, with its channels: the
     gates the whole circuit emits at that wire's first flush in the tail,
     moved to the cut past gates on other wires only.  So the native gates
-    and their noise are the whole circuit's.
+    and their noise are the whole circuit's.  ``observable`` carries
+    ``w`` back through the lead-ins as well, once per pending product:
+    the table lives as long as the tail, one time step.
     """
 
     def __init__(self, circuit: Circuit, noise, wires: int):
@@ -287,17 +305,26 @@ class TailObservable:
         readout_z = np.diag([1.0 - 2.0 * p10, 2.0 * p01 - 1.0])
         self.w = observable_before(native, noise, anc, readout_z, range(wires))
         self.leads = native.metadata["leads"]
-        self.basis = noise.basis
+        self.noise = noise
         self.gates = len(native.gates)
+        self._table: dict[tuple, np.ndarray] = {}
 
-    def lead_in(self, pending: dict[int, np.ndarray]) -> list[GateInstance]:
-        """Native lead-in gates for the opening's ``pending`` products."""
-        return [inst for p, lead in self.leads.items()
-                for inst in transpile.emit_1q(p, lead @ pending[p], self.basis)]
-
-    def expectation(self, rho: DensityMatrix) -> float:
-        """Tr[w rho] for the density after the opening and the lead-ins."""
-        return float(np.real(np.einsum("ij,ji->", self.w, rho.rho)))
+    def observable(self, pending: dict[int, np.ndarray]) -> tuple:
+        """(M, lead-in) for an opening that leaves the ``pending`` products:
+        the circuit's ancilla <Z> is Tr[M rho] for the opening's density
+        rho, where M is ``w`` carried back through the native lead-in
+        gates and their channels.  M comes from a table keyed on the exact
+        bytes of the products, so the lead-in (its native gates) is None
+        when the table already holds it."""
+        key = tuple(pending[p].tobytes() for p in self.leads)
+        m = self._table.get(key)
+        if m is not None:
+            return m, None
+        lead_in = [inst for p, lead in self.leads.items()
+                   for inst in transpile.emit_1q(p, lead @ pending[p],
+                                                     self.noise.basis)]
+        m = self._table[key] = observable_before_1q(self.w, lead_in, self.noise)
+        return m, lead_in
 
 
 def apportion_shots(total: int, weights) -> tuple[int, ...]:

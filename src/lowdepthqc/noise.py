@@ -55,6 +55,11 @@ class DeviceCalibration:
         for p in rates:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"error rate out of range: {p}")
+        for a, b in self.pair_errors:
+            if a == b or not (0 <= a < len(self.qubits)
+                              and 0 <= b < len(self.qubits)):
+                raise ValueError(f"pair ({a}, {b}) does not name two distinct "
+                                 f"calibrated qubits of 0..{len(self.qubits) - 1}")
 
     def qubit(self, q: int) -> QubitCalibration:
         if not 0 <= q < len(self.qubits):
@@ -256,7 +261,7 @@ def builtin_profiles() -> dict[str, DeviceCalibration]:
         ),
         pair_errors={(4, 5): 4.30e-3, (1, 0): 3.57e-3, (2, 1): 4.39e-3,
                      (3, 2): 13.37e-3, (4, 3): 25.76e-3, (6, 7): 4.44e-3,
-                     (6, 5): 5.89e-3, (7, 8): 3.21e-3},
+                     (6, 5): 5.89e-3},
     )
     sherbrook = DeviceCalibration(
         name="ibm-sherbrook",

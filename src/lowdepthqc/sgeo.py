@@ -30,9 +30,12 @@ coordinate's three slice values from a slice source.  There are two:
   noisy modes: the five estimator families at each of the three
   bindings.  A sampled noiseless mode simulates each circuit whole.  A
   noisy mode cuts the circuits after U_lam: each family's lowered tail
-  is carried back to the cut once per time step as an observable, and
-  each binding costs one density evolution of the opening H and U_lam on
-  n + 1 qubits, shared by the five families, and five traces
+  is carried back to the cut once per time step as an observable.  Each
+  binding costs one density evolution of the opening H and U_lam on
+  n + 1 qubits, shared by the five families, which resumes from the
+  native gates the opening shares with the previous binding's (within a
+  coordinate, all those before parameter j), and five traces against
+  the tail observables with the lead-ins folded in
   (``hadamard.EstimatorMode.cut_tests``).
 
 The reconstruction is exact for the ideal circuits, so for the exact

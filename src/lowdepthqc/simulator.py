@@ -12,10 +12,14 @@ Density evolution contracts superoperators with the same kernel: each
 gate and the channels a noise model attaches to it fold into one, 1-qubit
 runs merge into the next 2-qubit gate, and only the qubits that are live
 at a gate are simulated.  It takes gates on at most two qubits, as
-``transpile.decompose`` emits.  ``observable_before`` runs the same
-evolution backward in the Heisenberg picture: it carries an observable
-from the end of a circuit to its start through the adjoint of each
-gate's superoperator, so one pass serves every input state.
+``transpile.decompose`` emits.  A pass can resume from the last one
+(``DensityResume``): the walk is snapshotted after each 2-qubit gate,
+and the next pass starts from the snapshot within the native gates the
+two share.  ``observable_before`` runs the same evolution backward in
+the Heisenberg picture: it carries an observable from the end of a
+circuit to its start through the adjoint of each gate's superoperator,
+so one pass serves every input state; ``observable_before_1q`` does so
+for a layer of 1-qubit gates.
 """
 from __future__ import annotations
 
@@ -104,7 +108,8 @@ def sample_from_expectation(exact_z: float, cfg: ShotConfig,
 # Density path
 # ---------------------------------------------------------------------------
 
-def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
+def run_density(c: Circuit, noise=None, keep=None,
+                resume: DensityResume | None = None) -> DensityMatrix:
     """rho after interleaving each gate's unitary with its noise channels.
 
     Every gate acts on at most two qubits; a wider one raises
@@ -119,85 +124,156 @@ def run_density(c: Circuit, noise=None, keep=None) -> DensityMatrix:
     outside ``keep`` is traced out after its last multi-qubit gate.  The
     1-qubit gates and channels that follow act on a discarded qubit
     alone, so they cannot change the kept marginal and are skipped.
+
+    ``resume`` carries a pass from one call to the next: the pass starts
+    from its snapshot at the last 2-qubit gate within the gates it shares
+    with the previous one, and the result is bit for bit a fresh pass's.
+    Only a pass that keeps every qubit in order resumes, because the
+    trace-out rule looks ahead.
     """
     n = c.width
     keep = _check_density(c, keep)
+    gates = c.gates
+    start, walk = 0, _DensityWalk()
+    if resume is not None:
+        if keep != tuple(range(n)):
+            raise CircuitError("only a pass that keeps every qubit resumes")
+        start, walk = resume.restart(c, noise)
     last_multi = {}
-    for i, inst in enumerate(c.gates):
+    for i, inst in enumerate(gates):
         if len(inst.qubits) == 2:
             for q in inst.qubits:
                 last_multi[q] = i
 
-    live: list[int] = []              # simulated qubits, in axis order
-    tensor = np.ones((), dtype=complex)
-
-    def allocate(q):
-        nonlocal tensor
-        if q in live:
-            return
-        k = len(live)
-        grown = np.zeros((1 << k, 2, 1 << k, 2), dtype=complex)
-        grown[:, 0, :, 0] = tensor.reshape(1 << k, 1 << k)
-        tensor = grown.reshape([2] * (2 * k + 2))
-        live.append(q)
-
-    def trace_out(q):
-        nonlocal tensor
-        a = live.index(q)
-        tensor = np.ascontiguousarray(
-            np.trace(tensor, axis1=a, axis2=len(live) + a))
-        live.remove(q)
-
-    def superop_axes(qubits):
-        rows = [live.index(q) for q in qubits]
-        return rows + [len(live) + a for a in rows]
-
-    # Each 1-qubit gate and its channels fold into the pending run of its
-    # qubit (``_QubitRun``).  A 2-qubit gate absorbs the pending runs of
-    # both its qubits and its own channels into one 16x16 superoperator,
-    # so the density tensor is touched once per 2-qubit gate.
-    pending: dict[int, _QubitRun] = {}
-
-    def take(q):
-        run = pending.pop(q, None)
-        return None if run is None else run.superop()
-
-    def flush(q):
-        nonlocal tensor
-        sop = take(q)
-        if sop is not None:
-            allocate(q)
-            tensor = _apply_matrix(tensor, sop, superop_axes((q,)))
-
-    for i, inst in enumerate(c.gates):
+    for i in range(start, len(gates)):
+        inst = gates[i]
         qubits = inst.qubits
         if (len(qubits) == 1 and qubits[0] not in keep
                 and last_multi.get(qubits[0], -1) < i):
             continue
         channels = noise.channels_for(inst) if noise is not None else []
         if len(qubits) == 1:
-            q = qubits[0]
-            if q not in pending:
-                pending[q] = _QubitRun(q)
-            pending[q].add(inst, channels)
+            walk.add(inst, channels)
             continue
+        walk.apply(inst, channels)
+        for q in qubits:
+            if q not in keep and last_multi.get(q) == i:
+                walk.trace_out(q)
+        if resume is not None:
+            resume.snapshots.append((i + 1, walk.copy()))
+    for q in keep:
+        walk.flush(q)
+        walk.allocate(q)
+    live = walk.live
+    k = len(live)
+    order = [live.index(q) for q in keep]
+    rho = walk.tensor.transpose(order + [k + a for a in order])
+    return DensityMatrix(k, rho.reshape(1 << k, 1 << k))
+
+
+class _DensityWalk:
+    """The state of a forward density pass: the simulated (live) qubits in
+    axis order, the density tensor over them, and each qubit's pending
+    ``_QubitRun``.
+
+    Each 1-qubit gate and its channels fold into the pending run of its
+    qubit.  A 2-qubit gate absorbs the pending runs of both its qubits and
+    its own channels into one 16x16 superoperator, so the tensor changes
+    once per 2-qubit gate.  Every step replaces the tensor and never writes
+    into it, so a copy may share it.
+    """
+
+    def __init__(self):
+        self.live: list[int] = []
+        self.tensor = np.ones((), dtype=complex)
+        self.pending: dict[int, _QubitRun] = {}
+
+    def copy(self) -> "_DensityWalk":
+        other = _DensityWalk()
+        other.live = list(self.live)
+        other.tensor = self.tensor
+        self.tensor.setflags(write=False)
+        other.pending = {q: run.copy() for q, run in self.pending.items()}
+        return other
+
+    def allocate(self, q: int) -> None:
+        if q in self.live:
+            return
+        k = len(self.live)
+        grown = np.zeros((1 << k, 2, 1 << k, 2), dtype=complex)
+        grown[:, 0, :, 0] = self.tensor.reshape(1 << k, 1 << k)
+        self.tensor = grown.reshape([2] * (2 * k + 2))
+        self.live.append(q)
+
+    def trace_out(self, q: int) -> None:
+        a = self.live.index(q)
+        self.tensor = np.ascontiguousarray(
+            np.trace(self.tensor, axis1=a, axis2=len(self.live) + a))
+        self.live.remove(q)
+
+    def _axes(self, qubits) -> list[int]:
+        rows = [self.live.index(q) for q in qubits]
+        return rows + [len(self.live) + a for a in rows]
+
+    def _take(self, q: int):
+        run = self.pending.pop(q, None)
+        return None if run is None else run.superop()
+
+    def add(self, inst, channels) -> None:
+        q = inst.qubits[0]
+        if q not in self.pending:
+            self.pending[q] = _QubitRun(q)
+        self.pending[q].add(inst, channels)
+
+    def apply(self, inst, channels) -> None:
+        qubits = inst.qubits
         sop = gate_superop(inst, channels)
-        parts = [take(q) for q in qubits]
+        parts = [self._take(q) for q in qubits]
         if parts[0] is not None or parts[1] is not None:
             sop = sop @ _pair_superop(*parts)
         for q in qubits:
-            allocate(q)
-        tensor = _apply_matrix(tensor, sop, superop_axes(qubits))
-        for q in qubits:
-            if q not in keep and last_multi.get(q) == i:
-                trace_out(q)
-    for q in keep:
-        flush(q)
-        allocate(q)
-    k = len(live)
-    order = [live.index(q) for q in keep]
-    rho = tensor.transpose(order + [k + a for a in order])
-    return DensityMatrix(k, rho.reshape(1 << k, 1 << k))
+            self.allocate(q)
+        self.tensor = _apply_matrix(self.tensor, sop, self._axes(qubits))
+
+    def flush(self, q: int) -> None:
+        sop = self._take(q)
+        if sop is not None:
+            self.allocate(q)
+            self.tensor = _apply_matrix(self.tensor, sop, self._axes((q,)))
+
+
+class DensityResume:
+    """What one ``run_density`` pass leaves for the next to resume from:
+    its circuit, noise model and a snapshot of the walk after each 2-qubit
+    gate, the only gates that change the tensor.  ``simulated`` counts the
+    gates the last pass walked."""
+
+    def __init__(self):
+        self.circuit = None
+        self.noise = None
+        self.snapshots: list[tuple[int, _DensityWalk]] = []
+        self.simulated = 0
+
+    def restart(self, c: Circuit, noise) -> tuple[int, _DensityWalk]:
+        """Where a pass of ``c`` under ``noise`` starts: the index of the
+        first gate to walk and the walk up to it.  The snapshots past the
+        gates ``c`` shares with the previous pass are dropped; the 1-qubit
+        gates between the last one kept and the first new gate are walked
+        again."""
+        shared = 0
+        if (self.circuit is not None and noise is self.noise
+                and c.width == self.circuit.width):
+            old, new = self.circuit.gates, c.gates
+            m = min(len(old), len(new))
+            while shared < m and (old[shared] is new[shared]
+                                  or old[shared] == new[shared]):
+                shared += 1
+        while self.snapshots and self.snapshots[-1][0] > shared:
+            self.snapshots.pop()
+        self.circuit, self.noise = c, noise
+        start, walk = self.snapshots[-1] if self.snapshots else (0, _DensityWalk())
+        self.simulated = len(c.gates) - start
+        return start, walk.copy()
 
 
 def observable_before(c: Circuit, noise, qubit: int, observable: np.ndarray,
@@ -298,10 +374,13 @@ def observable_before(c: Circuit, noise, qubit: int, observable: np.ndarray,
     return np.ascontiguousarray(x.reshape(1 << k, 1 << k).T)
 
 
-def evolve_density(d: DensityMatrix, gates, noise) -> DensityMatrix:
-    """``d`` after the 1-qubit ``gates``, each followed by the channels
-    ``noise`` attaches to it; the gates on one qubit merge into one
-    superoperator, as in ``run_density``."""
+def observable_before_1q(observable: np.ndarray, gates, noise) -> np.ndarray:
+    """The observable M with Tr[M rho] = Tr[W rho'] for every density rho
+    of the qubits of W = ``observable``, where rho' is rho after the
+    1-qubit ``gates``, each followed by the channels ``noise`` attaches to
+    it.  The gates on one qubit merge into one superoperator, as in
+    ``run_density``, and the transpose of W is carried through its
+    transpose, as in ``observable_before``."""
     runs: dict[int, _QubitRun] = {}
     for inst in gates:
         if len(inst.qubits) != 1:
@@ -311,10 +390,11 @@ def evolve_density(d: DensityMatrix, gates, noise) -> DensityMatrix:
         if q not in runs:
             runs[q] = _QubitRun(q)
         runs[q].add(inst, noise.channels_for(inst))
-    tensor = d.rho.reshape([2] * (2 * d.n))
+    k = observable.shape[0].bit_length() - 1
+    tensor = np.asarray(observable, dtype=complex).T.reshape([2] * (2 * k))
     for q, run in runs.items():
-        tensor = _apply_matrix(tensor, run.superop(), (q, d.n + q))
-    return DensityMatrix(d.n, tensor.reshape(d.rho.shape))
+        tensor = _apply_matrix(tensor, run.superop().T, (q, k + q))
+    return np.ascontiguousarray(tensor.reshape(observable.shape).T)
 
 
 class _QubitRun:
@@ -329,6 +409,11 @@ class _QubitRun:
         self.s = None
         self.u = _I2
         self.survival = 1.0
+
+    def copy(self) -> "_QubitRun":
+        other = _QubitRun(self.q)
+        other.s, other.u, other.survival = self.s, self.u, self.survival
+        return other
 
     def add(self, inst, channels) -> None:
         self.u = target_matrix(inst.gate, inst.params) @ self.u

@@ -57,6 +57,8 @@ class BasisTarget(Enum):
     SC = "sc"
     ION = "ion"
 
+    __hash__ = object.__hash__    # identity, as for ``Gate``
+
 
 @dataclass(frozen=True)
 class GateCountReport:

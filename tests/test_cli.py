@@ -174,6 +174,12 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     assert summary["estimator_circuits"] == circuits
     assert summary["density_passes"] == passes
     assert (summary["native_gates_simulated"] > 0) == (passes > 0)
+    # a noisy run reads every test from a tail observable with its lead-in
+    # folded in, from a table whose misses alone lower and simulate gates
+    table = summary["lead_in_table"]
+    assert set(table) == {"hits", "misses"}
+    assert table["hits"] + table["misses"] == (circuits if passes else 0)
+    assert (table["hits"] > 0) == (table["misses"] > 0) == (passes > 0)
     # the memo tables' traffic: only a noisy run lowers to native gates
     emit, matrices = summary["emit_1q_cache"], summary["target_matrix_cache"]
     assert set(emit) == set(matrices) == {"hits", "misses"}
@@ -320,3 +326,26 @@ def test_bad_noise_input_exits_2(tmp_path, capsys, monkeypatch):
                                "--out", str(out)]) == 2, tag
         assert message in capsys.readouterr().err, tag
         assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", [(3, 3), (0, 99), (-1, 0)])
+def test_calibration_pairs_must_name_calibrated_qubits(tmp_path, capsys,
+                                                       monkeypatch, pair):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a bad calibration pair reached the initial-state fit")
+
+    monkeypatch.setattr("lowdepthqc.cli.fit_initial_state", no_fit)
+    # a linear chain over 4 qubits, with one pair naming no coupling of it
+    path = tmp_path / "pairs.csv"
+    rows = ["qubit,t1,t2,p01,p10,err_1q,pair_a,pair_b,err_2q"]
+    rows += [f"{q},200,150,0.01,0.02,0.0003,{q},{q + 1},0.005" for q in range(3)]
+    rows.append(f"3,200,150,0.01,0.02,0.0003,{pair[0]},{pair[1]},0.005")
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["noisy-run", "-n", "2", "-d", "1", "--steps", "1",
+                 "--sweeps", "1", "--shots", "10", "--profile-csv", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"pair ({pair[0]}, {pair[1]}) does not name two distinct " \
+           "calibrated qubits of 0..3" in err
+    assert not out.exists()

@@ -268,6 +268,41 @@ def test_fused_density_matches_gate_by_gate(rng, recipe):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
+def test_resumed_density_equals_a_fresh_pass(rng, recipe):
+    """A pass resumed from the previous one equals a fresh pass bit for bit
+    when one gate anywhere changes, with 1-qubit runs left pending across
+    2-qubit gates on other wires, when nothing changes, when the circuit
+    ends sooner and when another noise model runs it.  A pass that drops
+    a qubit does not resume."""
+    from lowdepthqc.circuit import CircuitError
+    from lowdepthqc.simulator import DensityResume
+
+    model = NoiseModel(builtin_profiles()["aqt-ibex"], recipe)
+    louder = NoiseModel(builtin_profiles()["aqt-ibex"].scaled(2.0), recipe)
+    resume = DensityResume()
+    for _ in range(4):
+        width = int(rng.integers(2, 6))
+        c = _random_native_circuit(rng, width, 25)
+        runs = []
+        for k in rng.permutation(len(c.gates))[:6]:
+            swap = _random_native_circuit(rng, width, 25).gates[k]
+            edited = c.gates[:k] + (swap,) + c.gates[k + 1:]
+            runs.append((Circuit(width, edited), model))
+        runs += [(c, model), (c, model), (Circuit(width, c.gates[:12]), model),
+                 (c, louder)]
+        for circuit, noise in runs:
+            got = run_density(circuit, noise=noise, resume=resume)
+            want = run_density(circuit, noise=noise)
+            assert got.rho.tobytes() == want.rho.tobytes()
+        # the repeat walks only the gates after the last 2-qubit gate
+        run_density(c, noise=louder, resume=resume)
+        last = max(i for i, g in enumerate(c.gates) if len(g.qubits) == 2)
+        assert resume.simulated == len(c.gates) - last - 1
+        with pytest.raises(CircuitError, match="keeps every qubit"):
+            run_density(c, noise=model, keep=(0,), resume=resume)
+
+
 def test_reduced_density_is_the_partial_trace(rng):
     model = NoiseModel(builtin_profiles()["aqt-ibex"], "depol_plus_thermal")
     for _ in range(6):
@@ -338,35 +373,94 @@ def test_observable_before_enforces_the_density_cap():
 @pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane",
                                      "ibm-sherbrook", "ibm-kingston"])
 def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
-    """Each family's value from the opening's density, the lead-ins and the
-    tail observable is the whole circuit's ``noisy_expectation``: both
-    variants and heads, random angles and, cycling over the cases, one
-    parameter bound to 0, pi or 2 pi, where ``emit_1q`` drops gates."""
+    """Each family's value from the opening's density and the tail
+    observable with the lead-in folded in is the whole circuit's
+    ``noisy_expectation``: both variants and heads, random angles, then one
+    parameter bound to 0, pi and 2 pi in turn on the same mode, where
+    ``emit_1q`` drops gates, then the random angles again, which the
+    lead-in table answers."""
     from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, bind_parameter,
                                    build_ansatz)
     from lowdepthqc.burgers import FAMILIES
     from lowdepthqc.hadamard import EstimatorMode, build_gterm_circuit
 
     model = NoiseModel(builtin_profiles()[profile], recipe)
-    special = (0.0, math.pi, 2 * math.pi)
-    shift = sorted(builtin_profiles()).index(profile)
     for n in (2, 3, 4) if profile == "aqt-ibex" else (2, 3):
-        for i, (variant, head) in enumerate((
-                (Variant.CRY, Head.X), (Variant.CU_ALT, Head.RY),
-                (Variant.CRY, Head.RY), (Variant.CU_ALT, Head.X))[:4 - 2 * (n > 2)]):
+        for variant, head in ((Variant.CRY, Head.X), (Variant.CU_ALT, Head.RY),
+                              (Variant.CRY, Head.RY),
+                              (Variant.CU_ALT, Head.X))[:4 - 2 * (n > 2)]:
             spec = AnsatzSpec(n, 1, variant, head)
             draw = lambda: tuple(rng.uniform(-math.pi, math.pi,  # noqa: E731
                                              spec.parameter_count))
             u_t, p_lam = build_ansatz(spec, draw()), draw()
             j = int(rng.integers(spec.parameter_count))
             mode = EstimatorMode(noise=model)
-            for b in (None, special[(i + shift) % 3]):
+            wants = {}
+            for b in (None, 0.0, math.pi, 2 * math.pi, None):
                 u_lam = build_ansatz(spec, p_lam if b is None
                                      else bind_parameter(p_lam, j, b))
                 tests = mode.cut_tests(u_t, u_lam, FAMILIES)
                 for (kind, direction), test in zip(FAMILIES, tests):
-                    whole = build_gterm_circuit(kind, u_t, u_lam,
-                                                direction=direction)
-                    want = noisy_expectation(whole, model, model.basis)
+                    if (b, kind, direction) not in wants:
+                        whole = build_gterm_circuit(kind, u_t, u_lam,
+                                                    direction=direction)
+                        wants[b, kind, direction] = noisy_expectation(
+                            whole, model, model.basis)
                     got = mode.evaluate(test)
-                    assert abs(got - want) <= 1e-12, (n, variant, head, b, kind)
+                    assert abs(got - wants[b, kind, direction]) <= 1e-12, \
+                        (n, variant, head, b, kind)
+            # the repeated binding reads all five families from the table
+            assert mode.lead_in_hits >= len(FAMILIES)
+            assert mode.lead_in_misses >= len(FAMILIES)
+            assert mode.lead_in_hits + mode.lead_in_misses == 5 * len(FAMILIES)
+
+
+@pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
+@pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane",
+                                     "ibm-sherbrook", "ibm-kingston"])
+def test_resumed_openings_equal_fresh_passes(rng, profile, recipe):
+    """A mode resumes each opening's density pass from the native prefix it
+    shares with the previous opening; the density and the pending products
+    equal a fresh pass's bit for bit.  The openings come as a coordinate
+    update makes them: the bindings 0, pi and 2 pi of parameter j, then
+    the chosen angle, then the same on parameter j + 1."""
+    from lowdepthqc import transpile
+    from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, bind_parameter,
+                                   build_ansatz)
+    from lowdepthqc.elision import elide_body
+    from lowdepthqc.hadamard import EstimatorMode, GTermKind, _opening
+
+    model = NoiseModel(builtin_profiles()[profile], recipe)
+    overlap = [(GTermKind.OVERLAP, "plus")]
+    for n in (2, 3, 4):
+        for variant in Variant:
+            for head in Head:
+                spec = AnsatzSpec(n, 1, variant, head)
+                params = tuple(rng.uniform(-math.pi, math.pi,
+                                           spec.parameter_count))
+                u_t = build_ansatz(spec, params)
+                mode = EstimatorMode(noise=model)
+                walked, lowered = [], []
+                j = int(rng.integers(spec.parameter_count - 1))
+                for k in (j, j + 1):
+                    for b in (0.0, math.pi, 2 * math.pi, rng.uniform(-3, 3)):
+                        params = bind_parameter(params, k, b)
+                        u_lam = build_ansatz(spec, params)
+                        before = mode.native_gates
+                        (rho, pending), _ = mode.cut_tests(u_t, u_lam, overlap)[0]
+                        walked.append(mode.native_gates - before)
+                        opening = elide_body(Circuit(
+                            u_lam.width, tuple(_opening(u_lam)), ancilla=0), 0)
+                        native = transpile.decompose(opening, model.basis,
+                                                     flush=False)
+                        want = run_density(native, noise=model,
+                                           keep=range(opening.width))
+                        assert rho.rho.tobytes() == want.rho.tobytes(), \
+                            (n, variant, head, k, b)
+                        want_pending = native.metadata["pending"]
+                        assert pending.keys() == want_pending.keys()
+                        for q, product in pending.items():
+                            assert product.tobytes() == want_pending[q].tobytes()
+                        lowered.append(len(native.gates))
+                # the first pass also walks the tail; the later ones resume
+                assert sum(walked[1:]) < sum(lowered[1:])
