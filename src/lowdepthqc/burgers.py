@@ -19,6 +19,7 @@ signed bracket at the optimum is the next Lambda.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class BurgersGrid:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.tau <= 0 or self.nu < 0:
-            raise ValueError(f"need tau > 0 and nu >= 0, got {self.tau}, {self.nu}")
+        if not (0 < self.tau < math.inf and 0 <= self.nu < math.inf):
+            raise ValueError(f"need finite tau > 0 and nu >= 0, got {self.tau}, {self.nu}")
 
     @property
     def points(self) -> int:
@@ -197,10 +198,13 @@ def bracket_oracle(grid: BurgersGrid, prev: FieldState,
 
 
 def infidelity(psi_opt: np.ndarray, psi_classical: np.ndarray) -> float:
-    """1 - |<classical|opt>|^2, clipped to [0, 1] against rounding."""
+    """1 - |<classical|opt>|^2, clipped to [0, 1] against rounding; NaN
+    when the overlap is not finite, as from a run that diverged."""
     a = np.asarray(psi_opt).reshape(-1)
     b = np.asarray(psi_classical).reshape(-1)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     f = abs(np.vdot(b, a)) ** 2
+    if not math.isfinite(f):
+        return math.nan
     return float(min(1.0, max(0.0, 1.0 - f)))

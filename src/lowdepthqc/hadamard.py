@@ -22,8 +22,8 @@ n + 1 wires, and its density pass resumes from the native gates it
 shares with the mode's previous opening (``simulator.DensityResume``).
 Each family's value is one trace against its tail observable with the
 family's lead-in, the native lowering of what the opening leaves
-pending, folded in; the tail keeps one such observable per pending
-product it meets.
+pending, folded in by the same backward walk; the tail keeps one such
+observable per pending product it meets.
 """
 from __future__ import annotations
 
@@ -36,15 +36,16 @@ from . import transpile
 from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
 from .simulator import (DensityResume, ShotConfig, ancilla_expectation_z,
-                        density_expectation_z, observable_before,
-                        observable_before_1q, run_density, run_statevector,
-                        sample_from_expectation)
+                        density_expectation_z, observable_before, run_density,
+                        run_statevector, sample_from_expectation)
 
 
 class GTermKind(Enum):
     OVERLAP = "overlap"
     SHIFT = "shift"
     SHIFT_DIAG = "shift_diag"
+
+    __hash__ = object.__hash__    # identity, as for ``Gate``
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,9 @@ class TailObservable:
     gates the whole circuit emits at that wire's first flush in the tail,
     moved to the cut past gates on other wires only.  So the native gates
     and their noise are the whole circuit's.  ``observable`` carries
-    ``w`` back through the lead-ins as well, once per pending product:
-    the table lives as long as the tail, one time step.
+    ``w`` back through the lead-ins with ``observable_before`` too, on
+    all ``wires``, once per pending product: the table lives as long as
+    the tail, one time step.
     """
 
     def __init__(self, circuit: Circuit, noise, wires: int):
@@ -303,7 +305,8 @@ class TailObservable:
         anc = native.metadata["final_positions"][circuit.ancilla]
         p01, p10 = noise.readout_probs(anc)
         readout_z = np.diag([1.0 - 2.0 * p10, 2.0 * p01 - 1.0])
-        self.w = observable_before(native, noise, anc, readout_z, range(wires))
+        self.wires = range(wires)
+        self.w = observable_before(native, noise, (anc,), readout_z, self.wires)
         self.leads = native.metadata["leads"]
         self.noise = noise
         self.gates = len(native.gates)
@@ -323,7 +326,9 @@ class TailObservable:
         lead_in = [inst for p, lead in self.leads.items()
                    for inst in transpile.emit_1q(p, lead @ pending[p],
                                                      self.noise.basis)]
-        m = self._table[key] = observable_before_1q(self.w, lead_in, self.noise)
+        m = self._table[key] = observable_before(
+            Circuit(len(self.wires), tuple(lead_in)), self.noise, self.wires,
+            self.w, self.wires)
         return m, lead_in
 
 

@@ -8,18 +8,19 @@ the block structure of that unitary); no 2^n matrix is ever built.  Qubit
 0 is the most significant bit of the amplitude index, matching numpy's
 C-order axis layout.
 
-Density evolution contracts superoperators with the same kernel: each
-gate and the channels a noise model attaches to it fold into one, 1-qubit
-runs merge into the next 2-qubit gate, and only the qubits that are live
-at a gate are simulated.  It takes gates on at most two qubits, as
-``transpile.decompose`` emits.  A pass can resume from the last one
-(``DensityResume``): the walk is snapshotted after each 2-qubit gate,
+Density evolution contracts superoperators with the same kernel, in one
+walker with a direction (``_DensityWalk``).  Forward, ``run_density``
+carries rho from |0...0> through each gate's superoperator, folded with
+the channels a noise model attaches to the gate.  Backward,
+``observable_before`` carries an observable from the end of a circuit to
+its start through the transposed superoperators, in the Heisenberg
+picture, so one pass serves every input state.  Either way 1-qubit runs
+merge into the next 2-qubit gate and only the qubits that are live at a
+gate are simulated; the gates act on at most two qubits, as
+``transpile.decompose`` emits.  A forward pass can resume from the last
+one (``DensityResume``): the walk is snapshotted after each 2-qubit gate,
 and the next pass starts from the snapshot within the native gates the
-two share.  ``observable_before`` runs the same evolution backward in
-the Heisenberg picture: it carries an observable from the end of a
-circuit to its start through the adjoint of each gate's superoperator,
-so one pass serves every input state; ``observable_before_1q`` does so
-for a layer of 1-qubit gates.
+two share.
 """
 from __future__ import annotations
 
@@ -119,11 +120,10 @@ def run_density(c: Circuit, noise=None, keep=None,
     qubits) and ``superop()``.  ``None`` or an empty model gives the pure-state projector.
 
     ``keep`` lists the qubits whose reduced state is returned, in that
-    order (all of them by default).  Only live qubits are simulated: a
-    qubit enters as |0><0| when a gate first acts on it, and a qubit
-    outside ``keep`` is traced out after its last multi-qubit gate.  The
-    1-qubit gates and channels that follow act on a discarded qubit
-    alone, so they cannot change the kept marginal and are skipped.
+    order (all of them by default).  The pass is a forward
+    ``_DensityWalk``: a qubit enters as |0><0| when a 2-qubit gate first
+    acts on it, and a qubit outside ``keep`` is traced out after its last
+    one.
 
     ``resume`` carries a pass from one call to the next: the pass starts
     from its snapshot at the last 2-qubit gate within the gates it shares
@@ -131,114 +131,180 @@ def run_density(c: Circuit, noise=None, keep=None,
     Only a pass that keeps every qubit in order resumes, because the
     trace-out rule looks ahead.
     """
-    n = c.width
     keep = _check_density(c, keep)
-    gates = c.gates
-    start, walk = 0, _DensityWalk()
-    if resume is not None:
-        if keep != tuple(range(n)):
-            raise CircuitError("only a pass that keeps every qubit resumes")
+    if resume is None:
+        start, walk = 0, _DensityWalk(noise)
+    elif keep != tuple(range(c.width)):
+        raise CircuitError("only a pass that keeps every qubit resumes")
+    else:
         start, walk = resume.restart(c, noise)
-    last_multi = {}
-    for i, inst in enumerate(gates):
-        if len(inst.qubits) == 2:
-            for q in inst.qubits:
-                last_multi[q] = i
+    rho = walk.run(c.gates, keep, start,
+                   None if resume is None else resume.snapshots)
+    return DensityMatrix(len(keep), rho)
 
-    for i in range(start, len(gates)):
-        inst = gates[i]
-        qubits = inst.qubits
-        if (len(qubits) == 1 and qubits[0] not in keep
-                and last_multi.get(qubits[0], -1) < i):
-            continue
-        channels = noise.channels_for(inst) if noise is not None else []
-        if len(qubits) == 1:
-            walk.add(inst, channels)
-            continue
-        walk.apply(inst, channels)
-        for q in qubits:
-            if q not in keep and last_multi.get(q) == i:
-                walk.trace_out(q)
-        if resume is not None:
-            resume.snapshots.append((i + 1, walk.copy()))
-    for q in keep:
-        walk.flush(q)
-        walk.allocate(q)
-    live = walk.live
-    k = len(live)
-    order = [live.index(q) for q in keep]
-    rho = walk.tensor.transpose(order + [k + a for a in order])
-    return DensityMatrix(k, rho.reshape(1 << k, 1 << k))
+
+def observable_before(c: Circuit, noise, qubits, observable: np.ndarray,
+                      keep) -> np.ndarray:
+    """The observable W on the qubits ``keep`` (in that order) with
+    Tr[W rho] = Tr[O rho'] for every state rho of those qubits, where O is
+    ``observable`` on ``qubits`` (in that order) and rho' is what
+    ``run_density`` gives after ``c`` from rho, every other qubit entering
+    in |0>.  The pass is a backward ``_DensityWalk``: a qubit joins as the
+    identity at its last 2-qubit gate, and a qubit outside ``keep`` is
+    projected on |0> at its first gate.
+    """
+    keep = _check_density(c, keep)
+    qubits = _qubits_of(c, qubits, "observable qubits")
+    k = len(qubits)
+    o = np.array(observable, dtype=complex)
+    if o.shape != (1 << k, 1 << k):
+        raise CircuitError(f"observable of shape {o.shape} on {k} qubits")
+    walk = _DensityWalk(noise, backward=True)
+    walk.live, walk.tensor = list(qubits), o.T.reshape([2] * (2 * k))
+    return np.ascontiguousarray(walk.run(c.gates, keep).T)
 
 
 class _DensityWalk:
-    """The state of a forward density pass: the simulated (live) qubits in
-    axis order, the density tensor over them, and each qubit's pending
-    ``_QubitRun``.
+    """A density pass over gates on at most two qubits, forward or
+    backward.  Forward it carries rho through each gate's superoperator,
+    first gate first; backward it carries the transpose of an observable
+    through each transposed superoperator, last gate first.  Its state is
+    the live qubits in axis order, the tensor over them (rows, then
+    columns) and each wire's pending 1-qubit gates.  These fold with their
+    channels into one 4x4 superoperator (``_fold``) when a 2-qubit gate
+    takes them into its own, so the tensor changes once per 2-qubit gate.
 
-    Each 1-qubit gate and its channels fold into the pending run of its
-    qubit.  A 2-qubit gate absorbs the pending runs of both its qubits and
-    its own channels into one 16x16 superoperator, so the tensor changes
-    once per 2-qubit gate.  Every step replaces the tensor and never writes
-    into it, so a copy may share it.
+    Four facts depend on the direction.  A wire enters as |0><0| forward
+    and as the identity backward.  A wire outside ``keep`` leaves by the
+    trace forward and by projection on |0> backward.  Forward, its 1-qubit
+    gates after its last 2-qubit gate are skipped, as they cannot change
+    the kept marginal; backward, those on a wire that is not live yet,
+    as they act on the identity, which every channel's adjoint keeps.  A
+    run folds in circuit order, and the runs left at the end fold in
+    ``keep`` order forward and, backward, in the order in which their
+    wires first appear in the circuit.
+
+    Every step replaces the tensor and never writes into it, so a copy
+    may share it.
     """
 
-    def __init__(self):
+    def __init__(self, noise, backward: bool = False):
+        self.noise = noise
+        self.backward = backward
         self.live: list[int] = []
         self.tensor = np.ones((), dtype=complex)
-        self.pending: dict[int, _QubitRun] = {}
+        self.pending: dict[int, list] = {}
 
     def copy(self) -> "_DensityWalk":
-        other = _DensityWalk()
+        other = _DensityWalk(self.noise, self.backward)
         other.live = list(self.live)
         other.tensor = self.tensor
         self.tensor.setflags(write=False)
-        other.pending = {q: run.copy() for q, run in self.pending.items()}
+        other.pending = {q: list(gates) for q, gates in self.pending.items()}
         return other
 
-    def allocate(self, q: int) -> None:
+    def run(self, gates, keep, start: int = 0, snapshots=None) -> np.ndarray:
+        """Walk ``gates``, forward from index ``start`` or backward from
+        the last, and return the tensor as a matrix over ``keep``, in that
+        order.  A forward walk appends (index of the next gate, copy of
+        the walk) to ``snapshots`` after each 2-qubit gate."""
+        # where a wire outside keep leaves: forward at its last 2-qubit
+        # gate, backward at its first gate
+        leaves = {}
+        for i, inst in enumerate(gates):
+            for q in inst.qubits:
+                if self.backward:
+                    leaves.setdefault(q, i)
+                elif len(inst.qubits) == 2:
+                    leaves[q] = i
+        steps = (range(len(gates) - 1, -1, -1) if self.backward
+                 else range(start, len(gates)))
+        for i in steps:
+            inst = gates[i]
+            qubits = inst.qubits
+            if len(qubits) == 1:
+                q = qubits[0]
+                if (q not in self.live if self.backward
+                        else q not in keep and leaves.get(q, -1) < i):
+                    continue
+                self.pending.setdefault(q, []).append(inst)
+            else:
+                self.apply(inst)
+            for q in qubits:
+                if q not in keep and leaves.get(q) == i:
+                    self.leave(q)
+            if snapshots is not None and len(qubits) == 2:
+                snapshots.append((i + 1, self.copy()))
+        for q in [q for q in self.live if q not in keep]:
+            self.leave(q)             # an observed qubit that no gate acts on
+        if self.backward:
+            for q in sorted(self.pending, key=leaves.__getitem__):
+                self.flush(q)
+        for q in keep:
+            self.flush(q)
+            self.enter(q)
+        k = len(self.live)
+        order = [self.live.index(q) for q in keep]
+        x = self.tensor.transpose(order + [k + a for a in order])
+        return x.reshape(1 << k, 1 << k)
+
+    def enter(self, q: int) -> None:
         if q in self.live:
             return
-        k = len(self.live)
-        grown = np.zeros((1 << k, 2, 1 << k, 2), dtype=complex)
-        grown[:, 0, :, 0] = self.tensor.reshape(1 << k, 1 << k)
-        self.tensor = grown.reshape([2] * (2 * k + 2))
+        d = 1 << len(self.live)
+        if self.backward:
+            grown = self.tensor.reshape(d, 1, d, 1) * _I2.reshape(1, 2, 1, 2)
+        else:
+            grown = np.zeros((d, 2, d, 2), dtype=complex)
+            grown[:, 0, :, 0] = self.tensor.reshape(d, d)
         self.live.append(q)
+        self.tensor = grown.reshape([2] * (2 * len(self.live)))
 
-    def trace_out(self, q: int) -> None:
-        a = self.live.index(q)
-        self.tensor = np.ascontiguousarray(
-            np.trace(self.tensor, axis1=a, axis2=len(self.live) + a))
+    def leave(self, q: int) -> None:
+        if q not in self.live:
+            return                    # only 1-qubit gates: it never reaches O
+        self.flush(q)
+        k, a = len(self.live), self.live.index(q)
+        if self.backward:
+            index = [slice(None)] * (2 * k)
+            index[a] = index[k + a] = 0
+            self.tensor = np.ascontiguousarray(self.tensor[tuple(index)])
+        else:
+            self.tensor = np.ascontiguousarray(
+                np.trace(self.tensor, axis1=a, axis2=k + a))
         self.live.remove(q)
 
     def _axes(self, qubits) -> list[int]:
         rows = [self.live.index(q) for q in qubits]
         return rows + [len(self.live) + a for a in rows]
 
+    def _channels(self, inst):
+        return self.noise.channels_for(inst) if self.noise is not None else ()
+
     def _take(self, q: int):
-        run = self.pending.pop(q, None)
-        return None if run is None else run.superop()
+        gates = self.pending.pop(q, None)
+        if gates is None:
+            return None
+        if self.backward:
+            return _fold(gates[::-1], self._channels).T
+        return _fold(gates, self._channels)
 
-    def add(self, inst, channels) -> None:
-        q = inst.qubits[0]
-        if q not in self.pending:
-            self.pending[q] = _QubitRun(q)
-        self.pending[q].add(inst, channels)
-
-    def apply(self, inst, channels) -> None:
+    def apply(self, inst) -> None:
         qubits = inst.qubits
-        sop = gate_superop(inst, channels)
+        sop = gate_superop(inst, self._channels(inst))
+        if self.backward:
+            sop = sop.T
         parts = [self._take(q) for q in qubits]
         if parts[0] is not None or parts[1] is not None:
             sop = sop @ _pair_superop(*parts)
         for q in qubits:
-            self.allocate(q)
+            self.enter(q)
         self.tensor = _apply_matrix(self.tensor, sop, self._axes(qubits))
 
     def flush(self, q: int) -> None:
         sop = self._take(q)
         if sop is not None:
-            self.allocate(q)
+            self.enter(q)
             self.tensor = _apply_matrix(self.tensor, sop, self._axes((q,)))
 
 
@@ -271,166 +337,39 @@ class DensityResume:
         while self.snapshots and self.snapshots[-1][0] > shared:
             self.snapshots.pop()
         self.circuit, self.noise = c, noise
-        start, walk = self.snapshots[-1] if self.snapshots else (0, _DensityWalk())
+        start, walk = (self.snapshots[-1] if self.snapshots
+                       else (0, _DensityWalk(noise)))
         self.simulated = len(c.gates) - start
         return start, walk.copy()
 
 
-def observable_before(c: Circuit, noise, qubit: int, observable: np.ndarray,
-                      keep) -> np.ndarray:
-    """The observable W on the qubits ``keep`` (in that order) with
-    Tr[W rho] = Tr[O rho'] for every state rho of those qubits, where O is
-    the 1-qubit ``observable`` on ``qubit`` and rho' is what ``run_density``
-    gives after ``c`` from rho, every other qubit entering in |0>.
-
-    One backward pass in the Heisenberg picture: the transpose of W is
-    carried through the transpose of each gate's superoperator, each
-    1-qubit run merging into the 2-qubit gate before it.  It mirrors
-    ``run_density``'s live-qubit rule: a qubit joins as the identity at
-    its last multi-qubit gate (the 1-qubit gates after it act on the
-    identity, which every channel's adjoint keeps, and are skipped), and a
-    qubit outside ``keep`` is projected on |0> at its first gate.
-    """
-    n = c.width
-    keep = _check_density(c, keep)
-    if not 0 <= qubit < n:
-        raise CircuitError(f"qubit {qubit} out of range for {n} qubits")
-    first = {}
-    for i, inst in enumerate(c.gates):
-        for q in inst.qubits:
-            first.setdefault(q, i)
-
-    live = [qubit]                    # qubits the observable acts on, in axis order
-    tensor = np.asarray(observable, dtype=complex).T.copy()
-    pending: dict[int, list] = {}     # 1-qubit gates met on a wire, latest first
-
-    def channels(inst):
-        return noise.channels_for(inst) if noise is not None else ()
-
-    def take(q):
-        gates = pending.pop(q, None)
-        if gates is None:
-            return None
-        run = _QubitRun(q)
-        for inst in reversed(gates):
-            run.add(inst, channels(inst))
-        return run.superop().T
-
-    def axes(qubits):
-        rows = [live.index(q) for q in qubits]
-        return rows + [len(live) + a for a in rows]
-
-    def join(q):
-        nonlocal tensor
-        if q in live:
-            return
-        d = 1 << len(live)
-        tensor = tensor.reshape(d, 1, d, 1) * _I2.reshape(1, 2, 1, 2)
-        live.append(q)
-        tensor = tensor.reshape([2] * (2 * len(live)))
-
-    def flush(q):
-        nonlocal tensor
-        sop = take(q)
-        if sop is not None:
-            tensor = _apply_matrix(tensor, sop, axes((q,)))
-
-    def project(q):
-        nonlocal tensor
-        if q not in live:
-            return                    # only 1-qubit gates: it never reaches O
-        flush(q)
-        k, a = len(live), live.index(q)
-        index = [slice(None)] * (2 * k)
-        index[a] = index[k + a] = 0
-        tensor = np.ascontiguousarray(tensor[tuple(index)])
-        live.remove(q)
-
-    for i in range(len(c.gates) - 1, -1, -1):
-        inst = c.gates[i]
-        qubits = inst.qubits
-        if len(qubits) == 1:
-            if qubits[0] in live:
-                pending.setdefault(qubits[0], []).append(inst)
-        else:
-            sop = gate_superop(inst, channels(inst)).T
-            for q in qubits:
-                join(q)
-            parts = [take(q) for q in qubits]
-            if parts[0] is not None or parts[1] is not None:
-                sop = sop @ _pair_superop(*parts)
-            tensor = _apply_matrix(tensor, sop, axes(qubits))
-        for q in qubits:
-            if first[q] == i and q not in keep:
-                project(q)
-    if qubit not in keep and qubit in live:
-        project(qubit)                # no gate acts on it
-    for q in keep:
-        flush(q)
-        join(q)
-    k = len(live)
-    order = [live.index(q) for q in keep]
-    x = tensor.transpose(order + [k + a for a in order])
-    return np.ascontiguousarray(x.reshape(1 << k, 1 << k).T)
-
-
-def observable_before_1q(observable: np.ndarray, gates, noise) -> np.ndarray:
-    """The observable M with Tr[M rho] = Tr[W rho'] for every density rho
-    of the qubits of W = ``observable``, where rho' is rho after the
-    1-qubit ``gates``, each followed by the channels ``noise`` attaches to
-    it.  The gates on one qubit merge into one superoperator, as in
-    ``run_density``, and the transpose of W is carried through its
-    transpose, as in ``observable_before``."""
-    runs: dict[int, _QubitRun] = {}
-    for inst in gates:
-        if len(inst.qubits) != 1:
-            raise CircuitError(f"expected 1-qubit gates, got {inst.gate.value} "
-                               f"on {inst.qubits}")
-        q = inst.qubits[0]
-        if q not in runs:
-            runs[q] = _QubitRun(q)
-        runs[q].add(inst, noise.channels_for(inst))
-    k = observable.shape[0].bit_length() - 1
-    tensor = np.asarray(observable, dtype=complex).T.reshape([2] * (2 * k))
-    for q, run in runs.items():
-        tensor = _apply_matrix(tensor, run.superop().T, (q, k + q))
-    return np.ascontiguousarray(tensor.reshape(observable.shape).T)
-
-
-class _QubitRun:
-    """A run of 1-qubit gates and their channels on qubit ``q``, kept as
+def _fold(gates, channels) -> np.ndarray:
+    """Superoperator of 1-qubit ``gates`` on one qubit q, in order, each
+    followed by its ``channels(inst)``.  The run is kept as
     D(survival) (u (x) u*) s: a 1-qubit depolarizing channel D commutes
     with every 1-qubit unitary, so unitaries and depolarizing channels
     only multiply u and the survival factor; other channels fold into the
     4x4 s."""
-
-    def __init__(self, q: int):
-        self.q = q
-        self.s = None
-        self.u = _I2
-        self.survival = 1.0
-
-    def copy(self) -> "_QubitRun":
-        other = _QubitRun(self.q)
-        other.s, other.u, other.survival = self.s, self.u, self.survival
-        return other
-
-    def add(self, inst, channels) -> None:
-        self.u = target_matrix(inst.gate, inst.params) @ self.u
-        for ch in channels:
+    q = gates[0].qubits[0]
+    s, u, survival = None, _I2, 1.0
+    for inst in gates:
+        u = target_matrix(inst.gate, inst.params) @ u
+        for ch in channels(inst):
             if isinstance(ch, DepolarizingChannel):
-                self.survival *= 1.0 - ch.p
+                survival *= 1.0 - ch.p
             else:
-                self.s = ch.superop() @ self.superop()
-                self.u, self.survival = _I2, 1.0
+                s = ch.superop() @ _run_superop(q, s, u, survival)
+                u, survival = _I2, 1.0
+    return _run_superop(q, s, u, survival)
 
-    def superop(self) -> np.ndarray:
-        sop = _unitary_superop(self.u)
-        if self.s is not None:
-            sop = sop @ self.s
-        if self.survival < 1.0:
-            sop = DepolarizingChannel((self.q,), 1.0 - self.survival).superop() @ sop
-        return sop
+
+def _run_superop(q: int, s, u: np.ndarray, survival: float) -> np.ndarray:
+    sop = _unitary_superop(u)
+    if s is not None:
+        sop = sop @ s
+    if survival < 1.0:
+        sop = DepolarizingChannel((q,), 1.0 - survival).superop() @ sop
+    return sop
 
 
 def check_density_width(n: int) -> None:
@@ -444,11 +383,8 @@ def _check_density(c: Circuit, keep) -> tuple[int, ...]:
     """``keep`` as a tuple (all qubits for None), once ``c`` passes the
     width cap, ``keep`` names distinct qubits of ``c``, and every gate
     acts on at most two qubits."""
-    n = c.width
-    check_density_width(n)
-    keep = tuple(range(n)) if keep is None else tuple(keep)
-    if len(set(keep)) != len(keep) or not all(0 <= q < n for q in keep):
-        raise CircuitError(f"keep {keep} is not a set of qubits of {n}")
+    check_density_width(c.width)
+    keep = _qubits_of(c, range(c.width) if keep is None else keep, "keep")
     for inst in c.gates:
         if len(inst.qubits) > 2:
             raise CircuitError(
@@ -457,12 +393,25 @@ def _check_density(c: Circuit, keep) -> tuple[int, ...]:
     return keep
 
 
+def _qubits_of(c: Circuit, qubits, what: str) -> tuple[int, ...]:
+    """``qubits`` as a tuple, once they are distinct qubits of ``c``."""
+    qubits = tuple(qubits)
+    if (len(set(qubits)) != len(qubits)
+            or not all(0 <= q < c.width for q in qubits)):
+        raise CircuitError(f"{what} {qubits} is not a set of qubits of {c.width}")
+    return qubits
+
+
 def gate_superop(inst, channels) -> np.ndarray:
-    """Superoperator of a gate on at most two qubits followed by
-    ``channels``, each on the gate's qubits or one of them."""
+    """Superoperator of a 2-qubit gate followed by ``channels``, each on
+    the gate's qubits or on one of them."""
     sop = _unitary_superop(gate_unitary(inst))
     for ch in channels:
-        sop = _embed_superop(ch.superop(), ch.qubits, inst.qubits) @ sop
+        part = ch.superop()
+        if len(ch.qubits) == 1:
+            part = (_pair_superop(part, None) if ch.qubits[0] == inst.qubits[0]
+                    else _pair_superop(None, part))
+        sop = part @ sop
     return sop
 
 
@@ -485,12 +434,3 @@ def _pair_superop(sa, sb) -> np.ndarray:
                   sa.reshape(2, 2, 2, 2), sb.reshape(2, 2, 2, 2))
     return t.reshape(16, 16)
 
-
-def _embed_superop(sop: np.ndarray, own: tuple[int, ...],
-                   qubits: tuple[int, ...]) -> np.ndarray:
-    """A channel's superoperator on its ``own`` qubits (the gate's qubits,
-    or one of them), expressed on the gate's ``qubits``."""
-    if tuple(own) == tuple(qubits):
-        return sop
-    return (_pair_superop(sop, None) if tuple(own) == qubits[:1]
-            else _pair_superop(None, sop))

@@ -110,6 +110,9 @@ def test_infidelity_bounds():
     e = np.array([1.0, 0.0])
     assert infidelity(e, e) == 0.0
     assert infidelity(e, np.array([0.0, 1.0])) == 1.0
+    # a diverged state has no fidelity, not a perfect one
+    assert math.isnan(infidelity(np.array([np.nan, 0.0]), e))
+    assert math.isnan(infidelity(np.array([np.inf, 0.0]), e))
     with pytest.raises(ValueError):
         infidelity(e, np.ones(3))
 

@@ -49,6 +49,18 @@ def test_run_is_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_diverged_run_fails_its_assert(tmp_path):
+    """A run whose state overflows reports NaN infidelity, not 0, and
+    --assert rejects it whichever step diverged first."""
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "-n", "2", "-d", "1", "--tau", "1e200",
+                     "--steps", "2", "--assert", "--out", str(out)]) == 3
+    summary = json.loads((out / "run.json").read_text())["summary"]
+    assert math.isnan(summary["worst_infidelity"])
+    assert math.isnan(summary["final_infidelity"])
+
+
 def test_run_seed_changes_sampled_output(tmp_path):
     base = ["run", "-n", "2", "-d", "1", "--steps", "1", "--shots", "300"]
     a = tmp_path / "a"
@@ -120,7 +132,8 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     for text in ("variant: nope\n", "steps: abc\n", "nu: fast\n",
                  "snapshots: 0.5\n", "tol: 1e-3\n", "a: 0.0\n", "b: 2.0\n",
-                 "fit_restarts: 4\n"):
+                 "fit_restarts: 4\n", "nu: .nan\n", "tau: .inf\n",
+                 "sigma: .nan\n"):
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 2, text
     assert main(["noisy-run", "-n", "2", "-d", "1",
@@ -199,6 +212,12 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     ["run", "-n", "2", "-d", "1", "--steps", "2", "--snapshots", "0.0", "-1"],
     ["run", "--seed", "-1"],
     ["gatecount", "--seed", "-1"],
+    ["run", "--sigma", "nan"],
+    ["run", "--sigma", "inf"],
+    ["run", "--nu", "nan"],
+    ["run", "--nu", "inf"],
+    ["run", "--tau", "nan"],
+    ["run", "--tau", "inf"],
 ])
 def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"

@@ -320,10 +320,39 @@ def test_observable_before_is_the_adjoint_of_the_evolution(rng):
     circuit equals Tr[O rho'] for the state evolved forward from sigma on
     the kept qubits, every other qubit starting in |0>.  The next-to-last
     qubit is idle and the last carries only 1-qubit gates, so untouched and
-    never-entangled qubits, observed, kept or neither, are covered too."""
+    never-entangled qubits, observed, kept or neither, are covered too.
+    O acts on one qubit, on two or on all the kept ones, and a circuit of
+    1-qubit gates only, the shape of a lead-in, is carried back as well."""
+    from conftest import embed_gate, random_circuit
     from lowdepthqc.simulator import observable_before
 
     model = NoiseModel(builtin_profiles()["aqt-ibex"], "depol_plus_thermal")
+
+    def check(c, keep, observed_sets):
+        width, k = c.width, len(keep)
+        sigma = _random_density(rng, k)
+        perm = list(np.argsort(keep))
+        index = [0] * (2 * width)
+        for q in keep:
+            index[q] = index[width + q] = slice(None)
+        start = np.zeros([2] * (2 * width), dtype=complex)
+        start[tuple(index)] = sigma.reshape([2] * (2 * k)).transpose(
+            perm + [k + p for p in perm])
+        rho = start.reshape(1 << width, 1 << width)
+        for inst in c.gates:
+            u = embed_gate(inst, width)
+            rho = u @ rho @ u.conj().T
+            for ch in model.channels_for(inst):
+                rho = _kraus_sum(ch, rho, width)
+        for observed in observed_sets:
+            dim = 1 << len(observed)
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            obs = a + a.conj().T
+            want = np.trace(obs @ _partial_trace(rho, width, observed))
+            w = observable_before(c, model, observed, obs, keep)
+            assert w.shape == (1 << k, 1 << k)
+            assert abs(np.trace(w @ sigma) - want) <= 1e-12, (observed, keep)
+
     for _ in range(6):
         idle = int(rng.integers(2, 5))
         width = idle + 2
@@ -336,28 +365,11 @@ def test_observable_before_is_the_adjoint_of_the_evolution(rng):
         for keep in ((0,), (idle,), (idle + 1,), (2, 0),
                      tuple(range(width))[::-1]):
             qubit = int(rng.integers(width))
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            obs = a + a.conj().T
-            sigma = _random_density(rng, len(keep))
-            k = len(keep)
-            perm = list(np.argsort(keep))
-            index = [0] * (2 * width)
-            for q in keep:
-                index[q] = index[width + q] = slice(None)
-            start = np.zeros([2] * (2 * width), dtype=complex)
-            start[tuple(index)] = sigma.reshape([2] * (2 * k)).transpose(
-                perm + [k + p for p in perm])
-            rho = start.reshape(1 << width, 1 << width)
-            for inst in c.gates:
-                from conftest import embed_gate
-                u = embed_gate(inst, width)
-                rho = u @ rho @ u.conj().T
-                for ch in model.channels_for(inst):
-                    rho = _kraus_sum(ch, rho, width)
-            want = np.trace(obs @ _partial_trace(rho, width, (qubit,)))
-            w = observable_before(c, model, qubit, obs, keep)
-            assert w.shape == (1 << k, 1 << k)
-            assert abs(np.trace(w @ sigma) - want) <= 1e-12
+            pair = tuple(int(q) for q in rng.permutation(width)[:2])
+            check(c, keep, ((qubit,), pair, keep))
+        ones = random_circuit(rng, width, 12, (Gate.SX, Gate.RZ, Gate.R, Gate.X))
+        for keep in (tuple(range(width)), (idle + 1, 0)):
+            check(ones, keep, (keep, (int(rng.integers(width)),)))
 
 
 def test_observable_before_enforces_the_density_cap():
@@ -366,7 +378,21 @@ def test_observable_before_enforces_the_density_cap():
 
     wide = Circuit(DENSITY_QUBIT_CAP + 1, (GateInstance(Gate.SX, (), (0,)),))
     with pytest.raises(CircuitError, match="capped at"):
-        observable_before(wide, None, 0, np.diag([1.0, -1.0]), (0,))
+        observable_before(wide, None, (0,), np.diag([1.0, -1.0]), (0,))
+
+
+def test_observable_before_rejects_a_bad_observable():
+    """The observed qubits must be distinct qubits of the circuit, and the
+    observable must act on exactly that many."""
+    from lowdepthqc.circuit import CircuitError
+    from lowdepthqc.simulator import observable_before
+
+    c = Circuit(3, (GateInstance(Gate.RXX, (), (0, 2), (0.3,)),))
+    z = np.diag([1.0, -1.0])
+    for qubits, obs in (((0, 0), np.kron(z, z)), ((3,), z),
+                        ((0, 1), z), ((0,), np.kron(z, z))):
+        with pytest.raises(CircuitError):
+            observable_before(c, None, qubits, obs, (0, 1))
 
 
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
