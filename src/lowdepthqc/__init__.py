@@ -4,8 +4,8 @@ from .ansatz import (AnsatzSpec, BaselineSpec, Head, Variant, ansatz_state,
                      build_ansatz, build_baseline, register_circuit)
 from .burgers import (FAMILIES, BurgersGrid, FieldState, bracket_oracle,
                       bracket_weights, classical_step, classical_trajectory,
-                      evaluate_cost_direct, gterm_values, infidelity,
-                      initial_condition_gaussian, step_matrix)
+                      estimate_bracket, family_targets, gterm_values,
+                      infidelity, initial_condition_gaussian, step_matrix)
 from .circuit import (Circuit, CircuitError, CircuitSyntaxError, Gate,
                       GateInstance, dagger, gate_unitary, parse_circuit,
                       serialize_circuit)

@@ -15,7 +15,9 @@ onto the ansatz state, C(lambda) = -S^2, where the bracket
 
 runs over the five Hadamard-test ``FAMILIES`` (overlap, shift+/-,
 shift_diag+/-) with the signed weights of ``bracket_weights``.  The
-signed bracket at the optimum is the next Lambda.
+signed bracket at the optimum is the next Lambda.  ``estimate_bracket``
+draws S from the families' exact values, which a noiseless run reads
+against the rows of ``family_targets``.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import numpy as np
 from .circuit import Circuit
 from .hadamard import (AdderSpec, EstimatorMode, GTermKind, adder_matrix,
                        apportion_shots, build_gterm_circuit)
+from .simulator import ancilla_expectation_z, run_statevector
 
 
 @dataclass(frozen=True)
@@ -138,34 +141,50 @@ def classical_trajectory(grid: BurgersGrid, u0: np.ndarray,
 # Cost assembly
 # ---------------------------------------------------------------------------
 
+def family_targets(psi: np.ndarray) -> np.ndarray:
+    """The rows M_f^dag psi of the ``FAMILIES``, so that family f's test of a
+    state phi has ancilla <Z> = Re<row_f|phi>: psi, A^dag psi, A psi,
+    D A^dag psi and D A psi, with D = diag(psi)."""
+    after, before = np.roll(psi, 1), np.roll(psi, -1)
+    return np.array([psi, after, before, psi * after, psi * before])
+
+
+def estimate_bracket(grid: BurgersGrid, prev: FieldState, values,
+                     mode: EstimatorMode) -> float:
+    """The bracket S from the exact value ``values[family]`` of each of the
+    ``FAMILIES`` of nonzero weight, one ``mode.evaluate`` test each.  A
+    sampled ``mode`` spends ``5 * mode.shots`` shots on them, split by the
+    weights (``family_shots``), and draws them in ``FAMILIES`` order.
+    """
+    s = 0.0
+    for family, weight, count in zip(FAMILIES, bracket_weights(grid, prev.lam),
+                                     family_shots(grid, prev, mode.shots)):
+        if weight != 0:
+            s += weight * mode.evaluate(values[family], shots=count)
+    return s
+
+
 def gterm_values(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
                  mode: EstimatorMode) -> float:
-    """The bracket S, one Hadamard-test estimate per family of nonzero weight.
+    """The bracket S from the Hadamard tests of the families of nonzero
+    weight (``estimate_bracket``).
 
-    A noisy ``mode`` takes the five tests cut after U_lam
-    (``EstimatorMode.cut_tests``), so there ``u_lam`` must have the gate
-    structure of ``prev.circuit`` (only the angles may differ) or a
-    ValueError is raised; any other mode builds and simulates each
-    circuit whole.  A sampled ``mode`` spends ``5 * mode.shots`` shots on
-    the five tests together, split by the magnitude of each family's
-    weight (see ``family_shots``), and draws them in ``FAMILIES`` order.
+    A noisy ``mode`` cuts them after U_lam (``EstimatorMode.noisy_values``),
+    so ``u_lam`` must have the gate structure of ``prev.circuit`` (only the
+    angles may differ) or a ValueError is raised.  A noiseless one
+    simulates each circuit whole, the reference for coordinate environments.
     """
     if prev.circuit is None:
         raise ValueError("previous state carries no preparation circuit")
-    # a family of weight 0 drops out of the bracket
-    terms = [(family, weight, count) for family, weight, count in zip(
-                 FAMILIES, bracket_weights(grid, prev.lam),
-                 family_shots(grid, prev, mode.shots)) if weight != 0]
+    families = [family for family, weight in zip(
+                    FAMILIES, bracket_weights(grid, prev.lam)) if weight != 0]
     if mode.noise is None:
         tests = (build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
-                 for (kind, direction), _, _ in terms)
+                 for kind, direction in families)
+        zs = [ancilla_expectation_z(run_statevector(c), c.ancilla) for c in tests]
     else:
-        tests = mode.cut_tests(prev.circuit, u_lam,
-                               [family for family, _, _ in terms])
-    s = 0.0
-    for test, (_, weight, count) in zip(tests, terms):
-        s += weight * mode.evaluate(test, shots=count)
-    return s
+        zs = mode.noisy_values(prev.circuit, u_lam, families)
+    return estimate_bracket(grid, prev, dict(zip(families, zs)), mode)
 
 
 def family_shots(grid: BurgersGrid, prev: FieldState,
@@ -182,12 +201,6 @@ def family_shots(grid: BurgersGrid, prev: FieldState,
         return (None,) * len(FAMILIES)
     return apportion_shots(len(FAMILIES) * shots,
                            bracket_weights(grid, prev.lam))
-
-
-def evaluate_cost_direct(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
-                         mode: EstimatorMode | None = None) -> float:
-    """C = -S^2; exact mode when no estimator is given."""
-    return -gterm_values(grid, prev, u_lam, mode or EstimatorMode.exact()) ** 2
 
 
 def bracket_oracle(grid: BurgersGrid, prev: FieldState,

@@ -94,9 +94,13 @@ class RunRecord:
 
     def save(self, out: Path):
         out.mkdir(parents=True, exist_ok=True)
+        # JSON has no NaN or infinity; a diverged run's summary holds them
+        summary = {k: None if isinstance(v, float) and not math.isfinite(v)
+                   else v for k, v in self.summary.items()}
         with open(out / "run.json", "w") as fh:
             json.dump({"config": self.config, "csv_paths": self.csv_paths,
-                       "summary": self.summary}, fh, indent=2, default=str)
+                       "summary": summary}, fh, indent=2, default=str,
+                      allow_nan=False)
 
 
 def _load_config(path: str | None) -> dict:
@@ -180,7 +184,7 @@ def _substream(seed: int, tag: str) -> np.random.Generator:
 
 
 def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
-    rng = _substream(cfg.seed, tag)
+    model = None
     if cfg.profile or cfg.profile_csv:
         if cfg.profile_csv:
             try:
@@ -195,12 +199,8 @@ def _estimator(cfg: ExperimentConfig, tag: str) -> EstimatorMode:
             cal = profiles[cfg.profile]
         model = NoiseModel(cal, cfg.recipe)
         _check_couplings(cfg, model)
-        mode = EstimatorMode(shots=cfg.shots, noise=model, rng=rng)
-    elif cfg.shots:
-        mode = EstimatorMode(shots=cfg.shots, rng=rng)
-    else:
-        mode = EstimatorMode.exact()
-    return mode
+    return EstimatorMode(shots=cfg.shots, noise=model,
+                         rng=_substream(cfg.seed, tag))
 
 
 def _check_couplings(cfg: ExperimentConfig, model: NoiseModel) -> None:
@@ -321,10 +321,10 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode, tables: dict):
     def record(step: int, st: FieldState, cost: float):
         t = step * grid.tau
         u_cl = classical[step]
-        psi_cl = u_cl / np.linalg.norm(u_cl)
-        err = infidelity(st.psi, psi_cl)
-        series.append((step, t, err, 1.0 - err, st.lam,
-                       float(np.linalg.norm(u_cl)), cost))
+        norm = float(np.linalg.norm(u_cl))
+        # an overflowed reference has no direction to be faithful to
+        err = infidelity(st.psi, u_cl / norm) if math.isfinite(norm) else math.nan
+        series.append((step, t, err, 1.0 - err, st.lam, norm, cost))
         fmap[step] = st
 
     record(0, state, -ic.lam * ic.lam)
@@ -340,13 +340,18 @@ def _run_dynamics(cfg: ExperimentConfig, mode: EstimatorMode, tables: dict):
         record(step, state, res.cost)
         for e in res.trace:
             traces.append((step, e.sweep, e.param_index, e.value, e.cost))
+        if not all(map(math.isfinite, series[-1])):
+            print(f"stopped at step {step} of {cfg.steps}: the run diverged")
+            break
 
     snapshots = {step: fmap[step]
-                 for step in (round(t / grid.tau) for t in cfg.snapshots)}
+                 for step in (round(t / grid.tau) for t in cfg.snapshots)
+                 if step in fmap}
 
     worst = float(np.max([row[2] for row in series]))   # NaN if any is
     final = series[-1]
-    summary = {"final_infidelity": final[2], "worst_infidelity": worst,
+    summary = {"steps_run": final[0],
+               "final_infidelity": final[2], "worst_infidelity": worst,
                "final_fidelity": final[3], "fit_infidelity": fit.infidelity,
                "coordinate_updates": len(traces),
                "estimator_circuits": mode.circuits,
@@ -397,7 +402,7 @@ def cmd_run(args) -> int:
     parts = _run_dynamics(cfg, mode, tables)
     rec = _emit_dynamics(cfg, *parts, label="burgers_run")
     s = rec.summary
-    print(f"run: {cfg.steps} steps, worst infidelity {s['worst_infidelity']:.3e}, "
+    print(f"run: {s['steps_run']} steps, worst infidelity {s['worst_infidelity']:.3e}, "
           f"final {s['final_infidelity']:.3e}")
     if cfg.assert_thresholds and not s["worst_infidelity"] < 1e-2:
         return 3
@@ -414,7 +419,7 @@ def cmd_noisy_run(args) -> int:
     parts = _run_dynamics(cfg, mode, tables)
     rec = _emit_dynamics(cfg, *parts, label="noisy_burgers")
     s = rec.summary
-    print(f"noisy-run [{cfg.profile}]: {cfg.steps} steps, "
+    print(f"noisy-run [{cfg.profile}]: {s['steps_run']} steps, "
           f"final fidelity {s['final_fidelity']:.4f}")
     return 0
 

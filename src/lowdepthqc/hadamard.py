@@ -15,7 +15,7 @@ projects in exactly the right way.
 Every circuit of one U_lam opens with the same H and U_lam; only what
 follows (copy network, inverse evolutions, adder, closing H) depends on
 the family and on U_t.  A noisy estimator cuts each circuit there
-(``EstimatorMode.cut_tests``).  Per family and U_t, a ``TailObservable``
+(``EstimatorMode.noisy_values``).  Per family and U_t, a ``TailObservable``
 carries the readout-folded ancilla Z back through the lowered, noisy
 tail to the cut, once.  Per U_lam, the opening is lowered once on its
 n + 1 wires, and its density pass resumes from the native gates it
@@ -23,7 +23,8 @@ shares with the mode's previous opening (``simulator.DensityResume``).
 Each family's value is one trace against its tail observable with the
 family's lead-in, the native lowering of what the opening leaves
 pending, folded in by the same backward walk; the tail keeps one such
-observable per pending product it meets.
+observable per pending product it meets.  ``EstimatorMode.evaluate``
+counts a test and draws its shots from its exact value, however found.
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ import numpy as np
 from . import transpile
 from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
-from .simulator import (DensityResume, ShotConfig, ancilla_expectation_z,
-                        density_expectation_z, observable_before, run_density,
-                        run_statevector, sample_from_expectation)
+from .simulator import (DensityResume, ShotConfig, density_expectation_z,
+                        observable_before, run_density, run_statevector,
+                        sample_from_expectation)
 
 
 class GTermKind(Enum):
@@ -186,9 +187,9 @@ class EstimatorMode:
 
     ``rng`` is advanced by every sampled estimate, so a driver seeding it
     once gets a reproducible stream across a whole optimization run.
-    ``circuits`` counts the Hadamard tests estimated so far;
-    ``density_passes`` counts the density-matrix passes of the
-    ``cut_tests`` path, forward or backward, and ``native_gates`` the
+    ``circuits`` counts the Hadamard tests a device would have run so far;
+    ``density_passes`` counts the density-matrix passes of
+    ``noisy_values``, forward or backward, and ``native_gates`` the
     native gates they simulated: a resumed opening counts the gates it
     walked again, and a lead-in counts when its tail's table misses
     (``lead_in_misses``) and not when it hits (``lead_in_hits``).
@@ -202,7 +203,7 @@ class EstimatorMode:
     native_gates: int = 0
     lead_in_hits: int = 0
     lead_in_misses: int = 0
-    # (U_t, {family: TailObservable}) of the U_t last passed to cut_tests
+    # (U_t, {family: TailObservable}) of the U_t last passed to noisy_values
     _tails: tuple = field(default=(None, None), repr=False, compare=False)
     # the last opening's density pass, which the next one resumes from
     _opening: DensityResume = field(default_factory=DensityResume,
@@ -212,44 +213,28 @@ class EstimatorMode:
     def exact(cls) -> "EstimatorMode":
         return cls()
 
-    def evaluate(self, test, shots: int | None = None) -> float:
-        """Ancilla <Z> of one Hadamard test; ``shots`` overrides the mode's count.
-
-        ``test`` is a circuit, simulated whole, or one of the
-        (prefix, tail) pairs of ``cut_tests``.
-        """
+    def evaluate(self, z: float, shots: int | None = None) -> float:
+        """One Hadamard test of exact ancilla <Z> ``z``: counts it and, in a
+        sampled mode, draws ``shots`` shots (the mode's count by default)."""
         self.circuits += 1
-        if isinstance(test, Circuit):
-            if self.noise is None:
-                z = ancilla_expectation_z(run_statevector(test), test.ancilla)
-            else:
-                z = noisy_expectation(test, self.noise, self.noise.basis)
-        else:
-            (rho, pending), tail = test
-            m, lead_in = tail.observable(pending)
-            if lead_in is None:
-                self.lead_in_hits += 1
-            else:
-                self.lead_in_misses += 1
-                self.native_gates += len(lead_in)
-            z = float(np.real(np.einsum("ij,ji->", m, rho.rho)))
         if self.shots is not None:
             count = self.shots if shots is None else shots
             z = sample_from_expectation(z, ShotConfig(count), rng=self.rng)
         return z
 
-    def cut_tests(self, u_t: Circuit, u_lam: Circuit, families) -> list[tuple]:
-        """The noisy Hadamard tests of U_lam against U_t for each
-        (kind, direction) of ``families``, cut after U_lam: one
-        (prefix, tail) pair each, for ``evaluate``.
+    def noisy_values(self, u_t: Circuit, u_lam: Circuit, families) -> list[float]:
+        """Exact noisy ancilla <Z> of the Hadamard test of U_lam against U_t
+        for each (kind, direction) of ``families``, with the circuits cut
+        after U_lam.
 
         A tail depends only on U_t, the noise model and the gate
         structure of U_lam, which must be U_t's (the angles may differ), so
         the tails are built, with U_t in U_lam's place, when a U_t first
         comes (once per time step) and reused while it comes back.  The
-        prefix, the density of the opening H and U_lam with each wire's
-        pending 1-qubit product, is evolved once for all the families,
-        resuming from the mode's previous opening.
+        density of the opening H and U_lam, with each wire's pending 1-qubit
+        product, is evolved once for all the families, resuming from the
+        mode's previous opening; each family's value is then one trace
+        against its tail's observable for that pending product.
         """
         if _structure(u_lam) != _structure(u_t):
             raise ValueError("U_lam must have the gate structure of U_t")
@@ -267,12 +252,20 @@ class EstimatorMode:
         opening = elide_body(Circuit(u_lam.width, tuple(_opening(u_lam)),
                                      ancilla=0), 0)
         native = transpile.decompose(opening, self.noise.basis, flush=False)
-        prefix = (run_density(native, noise=self.noise,
-                              keep=range(opening.width), resume=self._opening),
-                  native.metadata["pending"])
+        rho = run_density(native, noise=self.noise, keep=range(opening.width),
+                          resume=self._opening).rho
         self.density_passes += 1
         self.native_gates += self._opening.simulated
-        return [(prefix, tails[family]) for family in families]
+        values = []
+        for family in families:
+            m, lead_in = tails[family].observable(native.metadata["pending"])
+            if lead_in is None:
+                self.lead_in_hits += 1
+            else:
+                self.lead_in_misses += 1
+                self.native_gates += len(lead_in)
+            values.append(float(np.real(np.einsum("ij,ji->", m, rho))))
+        return values
 
 
 def _structure(c: Circuit) -> list[tuple]:

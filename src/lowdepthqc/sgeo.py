@@ -16,27 +16,27 @@ antipodes or an endpoint, and costs no further evaluations.
 One driver, ``_descend``, sweeps these updates, taking each
 coordinate's three slice values from a slice source.  There are two:
 
-* coordinate environments (``_environment_slices``), for an exact
-  bracket S = Re<tau|psi(lambda)> with a known 2^n target tau: the
-  initial fit's profile, or the exact step target
-  ``step_matrix(grid, prev) @ prev.psi``.  The ansatz is one gate per
+* coordinate environments (``_environment_slices``), for noiseless
+  modes: a bracket of Re<t|psi(lambda)> over known 2^n targets t.  The
+  fit and exact steps take one target, the profile or
+  ``step_matrix(grid, prev) @ prev.psi``; sampled steps take the five
+  family rows M_f^dag psi_t (``burgers.family_targets``) and draw their
+  shots (``burgers.estimate_bracket``).  The ansatz is one gate per
   parameter, psi = R_{>j} G_j(lambda_j) R_{<j}|0>, so a slice value is
   Re<l_j|G_j(b) r_j>.  One backward pass per sweep stores every
-  l_j = R_{>j}^dag tau, and the forward pass carries r_j = R_{<j}|0>,
-  so a coordinate costs a few 2^n-vector gate actions and inner
-  products, and no circuit is built or simulated (the environment trick
-  of NFT and Rotosolve);
-* the Hadamard-test estimates (``_circuit_slices``), for sampled and
-  noisy modes: the five estimator families at each of the three
-  bindings.  A sampled noiseless mode simulates each circuit whole.  A
-  noisy mode cuts the circuits after U_lam: each family's lowered tail
-  is carried back to the cut once per time step as an observable.  Each
+  l_j = R_{>j}^dag t, and the forward pass carries r_j = R_{<j}|0>, so a
+  coordinate costs a few 2^n-vector gate actions and inner products per
+  target, and no circuit is built or simulated (the environment trick of
+  NFT and Rotosolve);
+* the noisy Hadamard tests (``gterm_values``) at each binding, for noisy
+  modes.  They are cut after U_lam: each family's lowered tail is
+  carried back to the cut once per time step as an observable.  Each
   binding costs one density evolution of the opening H and U_lam on
   n + 1 qubits, shared by the five families, which resumes from the
   native gates the opening shares with the previous binding's (within a
   coordinate, all those before parameter j), and five traces against
   the tail observables with the lead-ins folded in
-  (``hadamard.EstimatorMode.cut_tests``).
+  (``hadamard.EstimatorMode.noisy_values``).
 
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
@@ -59,13 +59,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .ansatz import (AnsatzSpec, Head, ansatz_state, bind_parameter,
                      build_ansatz, register_circuit)
-from .burgers import (BurgersGrid, FieldState, gterm_values, infidelity,
-                      step_matrix)
+from .burgers import (FAMILIES, BurgersGrid, FieldState, estimate_bracket,
+                      family_targets, gterm_values, infidelity, step_matrix)
 from .circuit import GateInstance, gate_unitary, invert_gate
 from .hadamard import EstimatorMode
 from .simulator import _apply_matrix
@@ -186,21 +187,14 @@ def _descend(params: tuple[float, ...], slices, cfg: SweepConfig,
     return iterates, trace
 
 
-def _circuit_slices(bracket):
-    """Slice source that evaluates ``bracket(params)`` at each binding;
-    ``optimize_step`` passes ``gterm_values``, one estimate per family."""
-    def slices(params, j):
-        return tuple(bracket(bind_parameter(params, j, b)) for b in _BINDINGS)
-    return slices
-
-
-def _environment_slices(spec: AnsatzSpec, target: np.ndarray):
-    """Slice source for S = Re<target|psi(params)>, from coordinate
+def _environment_slices(spec: AnsatzSpec, targets, bracket):
+    """Slice source for S = bracket(values), where ``values`` holds
+    Re<t|psi(params)> for each row t of ``targets``, from coordinate
     environments on the register statevector.
 
     Parameter j drives register gate j + 1 behind the X head, gate j
     behind the RY head.  At j = 0 a backward pass stores
-    l_j = R_{>j}^dag target for every j; each later call first applies
+    l_j = R_{>j}^dag t for every j and row; each later call first applies
     gate j - 1 at its updated angle to the forward carry r = R_{<j}|0>.
     So ``_descend``'s order of calls is what keeps the carry valid.
     """
@@ -219,9 +213,10 @@ def _environment_slices(spec: AnsatzSpec, target: np.ndarray):
         nonlocal gates, lefts, right
         if j == 0:
             gates = register_circuit(build_ansatz(spec, params)).gates
-            lefts = [np.asarray(target, dtype=complex).reshape(shape)]
+            lefts = [list(np.asarray(targets, dtype=complex).reshape([-1] + shape))]
             for inst in reversed(gates[offset + 1:]):
-                lefts.append(apply(lefts[-1], invert_gate(inst)))
+                mat, qubits = gate_unitary(invert_gate(inst)), inst.qubits
+                lefts.append([_apply_matrix(t, mat, qubits) for t in lefts[-1]])
             lefts.reverse()
             right = np.zeros(shape, dtype=complex)
             right[(0,) * spec.n] = 1.0
@@ -229,9 +224,26 @@ def _environment_slices(spec: AnsatzSpec, target: np.ndarray):
                 right = apply(right, inst)
         else:
             right = apply(right, at(j - 1, params[j - 1]))
-        return tuple(float(np.real(np.vdot(lefts[j], apply(right, at(j, b)))))
-                     for b in _BINDINGS)
+        phis = (apply(right, at(j, b)) for b in _BINDINGS)
+        return tuple(bracket([float(np.vdot(t, phi).real) for t in lefts[j]])
+                     for phi in phis)
     return slices
+
+
+def _step_slices(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
+                 mode: EstimatorMode):
+    """The slice source of a time step from ``prev`` under ``mode``."""
+    if mode.noise is not None:
+        def slices(params, j):
+            return tuple(gterm_values(grid, prev, build_ansatz(
+                spec, bind_parameter(params, j, b)), mode) for b in _BINDINGS)
+        return slices
+    if mode.shots is not None:
+        return _environment_slices(
+            spec, family_targets(prev.psi), lambda values: estimate_bracket(
+                grid, prev, dict(zip(FAMILIES, values)), mode))
+    return _environment_slices(
+        spec, [step_matrix(grid, prev) @ prev.psi], itemgetter(0))
 
 
 def _best_of_last(iterates: list[tuple[tuple[float, ...], float]]):
@@ -252,14 +264,9 @@ def optimize_step(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
         raise ValueError(
             f"expected {spec.parameter_count} parameters, got {len(params)}")
 
-    mode = cfg.mode
-    if mode.shots is None and mode.noise is None:
-        slices = _environment_slices(spec, step_matrix(grid, prev) @ prev.psi)
-    else:
-        slices = _circuit_slices(lambda p: gterm_values(
-            grid, prev, build_ansatz(spec, p), mode))
     sign = 1.0 if prev.lam >= 0 else -1.0
-    iterates, trace = _descend(params, slices, cfg, sign)
+    iterates, trace = _descend(params, _step_slices(grid, prev, spec, cfg.mode),
+                               cfg, sign)
     return OptimizeResult(*_best_of_last(iterates), tuple(trace))
 
 
@@ -296,8 +303,8 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
             params = tuple(0.0 for _ in range(spec.parameter_count))
         else:
             params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-        iterates, _ = _descend(params, _environment_slices(spec, target),
-                               SweepConfig(sweeps=40))
+        slices = _environment_slices(spec, [target], itemgetter(0))
+        iterates, _ = _descend(params, slices, SweepConfig(sweeps=40))
         params = iterates[-1][0]
         err = infidelity(ansatz_state(spec, params), target)
         if best is None or err < best.infidelity:

@@ -5,17 +5,18 @@ import pytest
 
 from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
                                bind_parameter, build_ansatz)
+from lowdepthqc import burgers
 from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
                                 bracket_oracle, bracket_weights,
                                 classical_step, classical_trajectory,
-                                evaluate_cost_direct, family_shots,
-                                gterm_values, infidelity,
+                                family_shots, gterm_values, infidelity,
                                 initial_condition_gaussian, step_matrix)
 from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
                                  adder_matrix, build_gterm_circuit,
                                  noisy_expectation)
 from lowdepthqc.noise import NoiseModel, builtin_profiles
-from lowdepthqc.simulator import ShotConfig, sample_from_expectation
+from lowdepthqc.simulator import (ShotConfig, ancilla_expectation_z,
+                                  run_statevector, sample_from_expectation)
 
 
 def test_grid_geometry():
@@ -81,7 +82,8 @@ def test_cost_bracket_matches_dense_oracle(rng):
         got = gterm_values(g, prev, u_lam, EstimatorMode.exact())
         want = bracket_oracle(g, prev, np.real(ansatz_state(spec, p_l)))
         assert abs(got - want) <= 1e-10
-        assert evaluate_cost_direct(g, prev, u_lam) == pytest.approx(-want * want)
+        cost = -gterm_values(g, prev, u_lam, EstimatorMode.exact()) ** 2
+        assert cost == pytest.approx(-want * want)
 
 
 def test_cost_coefficients(rng):
@@ -118,18 +120,26 @@ def test_infidelity_bounds():
 
 
 class _ShotLog(EstimatorMode):
-    """Estimator that records the family and shot count of every circuit."""
+    """Estimator that records the exact value and shot count of every test."""
 
     def __init__(self, shots):
         super().__init__(shots=shots, rng=np.random.default_rng(0))
         self.spent = []
-        self.families = []
+        self.values = []
 
-    def evaluate(self, circuit, shots=None):
+    def evaluate(self, z, shots=None):
         self.spent.append(shots)
-        self.families.append((GTermKind(circuit.metadata["gterm_kind"]),
-                              circuit.metadata["direction"]))
-        return super().evaluate(circuit, shots=shots)
+        self.values.append(z)
+        return super().evaluate(z, shots=shots)
+
+
+def _whole_circuit_values(prev, u_lam, families):
+    """Each family's exact ancilla <Z>, its whole circuit simulated."""
+    values = []
+    for kind, direction in families:
+        c = build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
+        values.append(ancilla_expectation_z(run_statevector(c), c.ancilla))
+    return values
 
 
 def test_binding_shots_follow_bracket_weights():
@@ -151,13 +161,21 @@ def test_binding_shots_follow_bracket_weights():
     assert family_shots(g, prev, None) == (None,) * 5
 
     mode = _ShotLog(500)
-    gterm_values(g, prev, build_ansatz(spec, p[::-1]), mode)
+    u_lam = build_ansatz(spec, p[::-1])
+    gterm_values(g, prev, u_lam, mode)
     assert tuple(mode.spent) == counts
-    assert mode.families == list(FAMILIES)
+    assert mode.values == _whole_circuit_values(prev, u_lam, FAMILIES)
 
 
-def test_inviscid_bracket_skips_the_shift_families(rng):
+def test_inviscid_bracket_skips_the_shift_families(rng, monkeypatch):
     # at nu = 0 the shift families weigh 0, so no circuit is built for them
+    built = []
+
+    def build(kind, u_t, u_lam, direction="plus"):
+        built.append((kind, direction))
+        return build_gterm_circuit(kind, u_t, u_lam, direction=direction)
+
+    monkeypatch.setattr(burgers, "build_gterm_circuit", build)
     g = BurgersGrid(3, 0.0125, 0.0)
     spec = AnsatzSpec(3, 2, Variant.CU_ALT, Head.RY)
     p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
@@ -165,8 +183,11 @@ def test_inviscid_bracket_skips_the_shift_families(rng):
     prev = FieldState(1.7, np.real(ansatz_state(spec, p_t)),
                       build_ansatz(spec, p_t))
     mode = _ShotLog(None)
-    got = gterm_values(g, prev, build_ansatz(spec, p_l), mode)
-    assert mode.families == [FAMILIES[0], FAMILIES[3], FAMILIES[4]]
+    u_lam = build_ansatz(spec, p_l)
+    got = gterm_values(g, prev, u_lam, mode)
+    live = [FAMILIES[0], FAMILIES[3], FAMILIES[4]]
+    assert built == live
+    assert mode.values == _whole_circuit_values(prev, u_lam, live)
     want = bracket_oracle(g, prev, np.real(ansatz_state(spec, p_l)))
     assert abs(got - want) <= 1e-10
 

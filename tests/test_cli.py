@@ -50,15 +50,38 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_diverged_run_fails_its_assert(tmp_path):
-    """A run whose state overflows reports NaN infidelity, not 0, and
-    --assert rejects it whichever step diverged first."""
+    """A run whose state overflows reports no infidelity (null in a strict
+    JSON file), not 0, and --assert rejects it whichever step diverged
+    first."""
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["run", "-n", "2", "-d", "1", "--tau", "1e200",
                      "--steps", "2", "--assert", "--out", str(out)]) == 3
-    summary = json.loads((out / "run.json").read_text())["summary"]
-    assert math.isnan(summary["worst_infidelity"])
-    assert math.isnan(summary["final_infidelity"])
+    summary = _strict_json(out / "run.json")["summary"]
+    assert summary["worst_infidelity"] is None
+    assert summary["final_infidelity"] is None
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_diverged_run_stops_at_its_first_non_finite_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "-n", "2", "-d", "1", "--tau", "1e200",
+                     "--steps", "6", "--out", str(out)]) == 0
+    assert "stopped at step 1 of 6" in capsys.readouterr().out
+    series = _read_csv(out / "series.csv")
+    assert [row[0] for row in series[1:]] == ["0", "1"]
+    assert not all(math.isfinite(float(v)) for v in series[-1])
+    trace = _read_csv(out / "cost_trace.csv")[1:]
+    assert trace and {row[0] for row in trace} == {"1"}
+    summary = _strict_json(out / "run.json")["summary"]
+    assert summary["steps_run"] == 1
+    assert summary["coordinate_updates"] == len(trace)
 
 
 def test_run_seed_changes_sampled_output(tmp_path):
@@ -166,7 +189,7 @@ def test_fit_reports_the_state_run_starts_from(tmp_path):
     # exact slices come from coordinate environments, with no circuit run
     (None, 0, 0),
     # 2 sweeps x 3 parameters x 3 bindings x 5 families of nonzero weight,
-    # each simulated as a statevector
+    # each read from coordinate environments and sampled
     (50, 90, 0),
     # the same tests, cut after U_lam: one forward pass per binding (18)
     # and one backward pass per family's tail (5)
@@ -248,9 +271,9 @@ def test_flag_the_subcommand_ignores_exits_2(tmp_path, argv):
 
 
 @pytest.mark.parametrize("command, variant, layers", [
-    (["run"], Variant.CRY, {"simulator.sv"}),
+    (["run"], Variant.CRY, set()),
     (["noisy-run", "--variant", "cu_alt", "--profile", "ibm-brisbane"],
-     Variant.CU_ALT, {"simulator.density", "transpile"}),
+     Variant.CU_ALT, {"burgers.gterm", "simulator.density", "transpile"}),
 ], ids=("run", "noisy-run"))
 def test_benchmark_probes_attach(tmp_path, command, variant, layers):
     """The benchmark's child process wraps package functions by name, so a
@@ -268,8 +291,7 @@ def test_benchmark_probes_attach(tmp_path, command, variant, layers):
     spec = AnsatzSpec(2, 1, variant, Head.RY)
     assert sum(count for *_, count in bindings) == 3 * spec.parameter_count
     spans = {span[0] for span in data["spans"]}
-    assert {"burgers.gterm", "hadamard.evaluate", "sgeo.optimize",
-            "sgeo.fit"} | layers <= spans
+    assert {"hadamard.evaluate", "sgeo.optimize", "sgeo.fit"} | layers <= spans
 
 
 def test_density_cap_exits_2_before_the_fit(tmp_path, capsys, monkeypatch):

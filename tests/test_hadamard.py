@@ -10,7 +10,7 @@ from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
                                  adder_gates, adder_matrix, apportion_shots,
                                  build_gterm_circuit, gterm_oracle)
 from lowdepthqc.noise import NoiseModel, builtin_profiles
-from lowdepthqc.simulator import run_statevector
+from lowdepthqc.simulator import ancilla_expectation_z, run_statevector
 
 
 def _random_pair(rng, n, variant=None, head=None):
@@ -23,8 +23,14 @@ def _random_pair(rng, n, variant=None, head=None):
     return mk(), mk()
 
 
+def _whole_circuit(circuit):
+    """A Hadamard test's exact ancilla <Z>, its whole circuit simulated."""
+    return ancilla_expectation_z(run_statevector(circuit), circuit.ancilla)
+
+
 def _estimate(kind, u_t, u_lam, mode, **kwargs):
-    return mode.evaluate(build_gterm_circuit(kind, u_t, u_lam, **kwargs))
+    return mode.evaluate(_whole_circuit(
+        build_gterm_circuit(kind, u_t, u_lam, **kwargs)))
 
 
 def test_adder_is_cyclic_shift():
@@ -89,7 +95,7 @@ def test_elided_and_unelided_gterm_agree(rng):
     for kind in GTermKind:
         a = _estimate(kind, u_t, u_lam, EstimatorMode.exact())
         c = build_gterm_circuit(kind, u_t, u_lam, elide=False)
-        b = EstimatorMode.exact().evaluate(c)
+        b = _whole_circuit(c)
         assert abs(a - b) <= 1e-12
 
 
@@ -126,8 +132,8 @@ def test_cut_tests_need_the_structure_of_u_t():
     mode = EstimatorMode(noise=NoiseModel(builtin_profiles()["aqt-ibex"]))
     spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
     u_t = build_ansatz(spec, (0.1, 0.2, 0.3))
-    assert len(mode.cut_tests(u_t, build_ansatz(spec, (0.4, 0.5, 0.6)),
-                              [(GTermKind.OVERLAP, "plus")])) == 1
+    assert len(mode.noisy_values(u_t, build_ansatz(spec, (0.4, 0.5, 0.6)),
+                                 [(GTermKind.OVERLAP, "plus")])) == 1
     other = build_ansatz(AnsatzSpec(2, 1, Variant.CRY, Head.RY), (0.4, 0.5, 0.6))
     with pytest.raises(ValueError, match="gate structure"):
-        mode.cut_tests(u_t, other, [(GTermKind.OVERLAP, "plus")])
+        mode.noisy_values(u_t, other, [(GTermKind.OVERLAP, "plus")])

@@ -128,8 +128,7 @@ def test_thermal_recipe_adds_relaxation_channels():
 def test_noise_monotone_in_error_rate(rng):
     # scaling all error rates up can only lower the ancilla signal
     from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, build_ansatz
-    from lowdepthqc.hadamard import (EstimatorMode, GTermKind,
-                                     build_gterm_circuit)
+    from lowdepthqc.hadamard import GTermKind, build_gterm_circuit
 
     spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
     mk = lambda: build_ansatz(
@@ -138,8 +137,8 @@ def test_noise_monotone_in_error_rate(rng):
     cal = builtin_profiles()["aqt-ibex"]
     values = []
     for alpha in (0.0, 1.0, 3.0):
-        mode = EstimatorMode(noise=NoiseModel(cal.scaled(alpha)))
-        values.append(abs(mode.evaluate(circ)))
+        model = NoiseModel(cal.scaled(alpha))
+        values.append(abs(noisy_expectation(circ, model, model.basis)))
     assert values[0] >= values[1] >= values[2]
 
 
@@ -151,12 +150,14 @@ def test_estimator_takes_its_basis_from_the_calibration(rng):
     spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
     mk = lambda: build_ansatz(
         spec, rng.uniform(-math.pi, math.pi, spec.parameter_count))
-    circ = build_gterm_circuit(GTermKind.SHIFT, mk(), mk())
+    u_t, u_lam = mk(), mk()
+    circ = build_gterm_circuit(GTermKind.SHIFT, u_t, u_lam)
     model = NoiseModel(builtin_profiles()["ibm-brisbane"])
     assert model.basis is BasisTarget.SC
     assert NoiseModel(builtin_profiles()["aqt-ibex"]).basis is BasisTarget.ION
-    got = EstimatorMode(noise=model).evaluate(circ)
-    assert got == noisy_expectation(circ, model, BasisTarget.SC)
+    [got] = EstimatorMode(noise=model).noisy_values(
+        u_t, u_lam, [(GTermKind.SHIFT, "plus")])
+    assert abs(got - noisy_expectation(circ, model, BasisTarget.SC)) <= 1e-12
 
 
 def test_builtin_profiles_present():
@@ -425,14 +426,13 @@ def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
             for b in (None, 0.0, math.pi, 2 * math.pi, None):
                 u_lam = build_ansatz(spec, p_lam if b is None
                                      else bind_parameter(p_lam, j, b))
-                tests = mode.cut_tests(u_t, u_lam, FAMILIES)
-                for (kind, direction), test in zip(FAMILIES, tests):
+                values = mode.noisy_values(u_t, u_lam, FAMILIES)
+                for (kind, direction), got in zip(FAMILIES, values):
                     if (b, kind, direction) not in wants:
                         whole = build_gterm_circuit(kind, u_t, u_lam,
                                                     direction=direction)
                         wants[b, kind, direction] = noisy_expectation(
                             whole, model, model.basis)
-                    got = mode.evaluate(test)
                     assert abs(got - wants[b, kind, direction]) <= 1e-12, \
                         (n, variant, head, b, kind)
             # the repeated binding reads all five families from the table
@@ -446,19 +446,21 @@ def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
                                      "ibm-sherbrook", "ibm-kingston"])
 def test_resumed_openings_equal_fresh_passes(rng, profile, recipe):
     """A mode resumes each opening's density pass from the native prefix it
-    shares with the previous opening; the density and the pending products
-    equal a fresh pass's bit for bit.  The openings come as a coordinate
+    shares with the previous opening; every family's value equals, bit for
+    bit, the one from a fresh pass.  The openings come as a coordinate
     update makes them: the bindings 0, pi and 2 pi of parameter j, then
     the chosen angle, then the same on parameter j + 1."""
     from lowdepthqc import transpile
     from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, bind_parameter,
                                    build_ansatz)
+    from lowdepthqc.burgers import FAMILIES
     from lowdepthqc.elision import elide_body
-    from lowdepthqc.hadamard import EstimatorMode, GTermKind, _opening
+    from lowdepthqc.hadamard import EstimatorMode, _opening
 
     model = NoiseModel(builtin_profiles()[profile], recipe)
-    overlap = [(GTermKind.OVERLAP, "plus")]
     for n in (2, 3, 4):
+        # the IBM calibrations stop short of the n = 4 shift circuits
+        families = FAMILIES if n < 4 or profile == "aqt-ibex" else FAMILIES[:1]
         for variant in Variant:
             for head in Head:
                 spec = AnsatzSpec(n, 1, variant, head)
@@ -472,21 +474,17 @@ def test_resumed_openings_equal_fresh_passes(rng, profile, recipe):
                     for b in (0.0, math.pi, 2 * math.pi, rng.uniform(-3, 3)):
                         params = bind_parameter(params, k, b)
                         u_lam = build_ansatz(spec, params)
-                        before = mode.native_gates
-                        (rho, pending), _ = mode.cut_tests(u_t, u_lam, overlap)[0]
-                        walked.append(mode.native_gates - before)
+                        got = mode.noisy_values(u_t, u_lam, families)
+                        walked.append(mode._opening.simulated)
+                        # a new mode, sharing the tails, walks the opening whole
+                        fresh = EstimatorMode(noise=model, _tails=mode._tails)
+                        want = fresh.noisy_values(u_t, u_lam, families)
+                        assert ([v.hex() for v in got]
+                                == [v.hex() for v in want]), (n, variant, head, k, b)
                         opening = elide_body(Circuit(
                             u_lam.width, tuple(_opening(u_lam)), ancilla=0), 0)
                         native = transpile.decompose(opening, model.basis,
                                                      flush=False)
-                        want = run_density(native, noise=model,
-                                           keep=range(opening.width))
-                        assert rho.rho.tobytes() == want.rho.tobytes(), \
-                            (n, variant, head, k, b)
-                        want_pending = native.metadata["pending"]
-                        assert pending.keys() == want_pending.keys()
-                        for q, product in pending.items():
-                            assert product.tobytes() == want_pending[q].tobytes()
                         lowered.append(len(native.gates))
-                # the first pass also walks the tail; the later ones resume
+                # the first pass walks the whole opening; the later ones resume
                 assert sum(walked[1:]) < sum(lowered[1:])

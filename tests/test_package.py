@@ -16,8 +16,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lowdepthqc"
 
 KEPT_REFERENCES = {
     "gterm_oracle": "dense-matrix value of each estimator circuit",
-    "evaluate_cost_direct": "directly evaluated cost that slice "
-                            "reconstruction is checked against",
     "permuted_amps": "undoes the routing permutation to compare lowered "
                      "circuits with their source",
     "equivalent_up_to_phase": "statevector comparison for lowered circuits",

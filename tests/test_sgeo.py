@@ -6,14 +6,16 @@ import pytest
 from lowdepthqc import burgers, sgeo
 from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
                                bind_parameter, build_ansatz)
-from lowdepthqc.burgers import (BurgersGrid, FieldState, bracket_oracle,
-                                evaluate_cost_direct, gterm_values, infidelity,
-                                initial_condition_gaussian, step_matrix)
-from lowdepthqc.hadamard import EstimatorMode
-from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _circuit_slices,
-                             _environment_slices, _slice_optimum,
-                             fit_initial_state, optimize_step,
-                             reconstruct_bracket)
+from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
+                                bracket_oracle, bracket_weights, family_shots,
+                                family_targets, gterm_values, infidelity,
+                                initial_condition_gaussian)
+from lowdepthqc.hadamard import EstimatorMode, build_gterm_circuit
+from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _environment_slices,
+                             _slice_optimum, _step_slices, fit_initial_state,
+                             optimize_step, reconstruct_bracket)
+from lowdepthqc.simulator import (ShotConfig, ancilla_expectation_z,
+                                  run_statevector, sample_from_expectation)
 
 BINDINGS = (0.0, math.pi, 2 * math.pi)
 
@@ -32,8 +34,9 @@ def test_reconstruction_is_exact_along_every_parameter(rng):
                          build_ansatz(spec, bind_parameter(params, j, b)), mode)
             for b in BINDINGS)
         for lam in rng.uniform(-math.pi, math.pi, 16):
-            direct = evaluate_cost_direct(
-                grid, prev, build_ansatz(spec, bind_parameter(params, j, lam)))
+            direct = -gterm_values(
+                grid, prev, build_ansatz(spec, bind_parameter(params, j, lam)),
+                mode) ** 2
             s = reconstruct_bracket(sums, lam)
             assert abs(-s * s - direct) <= 1e-10
 
@@ -50,7 +53,8 @@ def test_optimize_step_decreases_cost(rng):
     fit = fit_initial_state(ic.psi, spec, seed=1)
     prev = FieldState(ic.lam, np.real(ansatz_state(spec, fit.params)),
                       build_ansatz(spec, fit.params))
-    start_cost = evaluate_cost_direct(grid, prev, build_ansatz(spec, fit.params))
+    start_cost = -gterm_values(grid, prev, build_ansatz(spec, fit.params),
+                               EstimatorMode.exact()) ** 2
     res = optimize_step(grid, prev, spec, fit.params, SweepConfig(sweeps=5))
     assert res.cost <= start_cost + 1e-12
     # the Lambda a run takes from these parameters
@@ -142,6 +146,18 @@ def test_sampled_step_runs_every_sweep():
                           np.real(ansatz_state(spec, res.params))) > 0
 
 
+def _whole_circuit(circuit):
+    """A Hadamard test's exact ancilla <Z>, its whole circuit simulated."""
+    return ancilla_expectation_z(run_statevector(circuit), circuit.ancilla)
+
+
+def _binding_slices(bracket):
+    """Slice source that evaluates ``bracket(params)`` at each binding."""
+    def slices(params, j):
+        return tuple(bracket(bind_parameter(params, j, b)) for b in BINDINGS)
+    return slices
+
+
 def _sweep_both(spec, env, circ, rng):
     """Largest gap between two slice sources over one sweep in which each
     coordinate moves to a random angle after its slice is taken, so the
@@ -150,7 +166,7 @@ def _sweep_both(spec, env, circ, rng):
     worst = 0.0
     for j in range(spec.parameter_count):
         got, want = env(params, j), circ(params, j)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
+        worst = max(worst, float(np.max(np.abs(np.subtract(got, want)))))
         params = bind_parameter(params, j, rng.uniform(-math.pi, math.pi))
     return worst
 
@@ -159,26 +175,73 @@ def _sweep_both(spec, env, circ, rng):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_environment_slices_match_the_circuit_path(n, variant, head, rng):
+    """The exact step's slices, each family's value against its rows of
+    ``family_targets`` and the fit's overlaps from coordinate environments
+    equal those of whole circuits."""
     spec = AnsatzSpec(n, 2, variant, head)
     grid = BurgersGrid(n, 0.01, 1e-2)
     p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
     prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
                       build_ansatz(spec, p_t))
     mode = EstimatorMode.exact()
-    step = _environment_slices(spec, step_matrix(grid, prev) @ prev.psi)
-    circuits = _circuit_slices(
+    step = _step_slices(grid, prev, spec, mode)
+    circuits = _binding_slices(
         lambda p: gterm_values(grid, prev, build_ansatz(spec, p), mode))
     assert _sweep_both(spec, step, circuits, rng) <= 1e-12
 
+    families = _environment_slices(spec, family_targets(prev.psi), tuple)
+    tests = _binding_slices(lambda p: tuple(
+        _whole_circuit(build_gterm_circuit(kind, prev.circuit,
+                                           build_ansatz(spec, p),
+                                           direction=direction))
+        for kind, direction in FAMILIES))
+    assert _sweep_both(spec, families, tests, rng) <= 1e-12
+
     target = rng.normal(size=1 << n)
     target /= np.linalg.norm(target)
-    fit = _environment_slices(spec, target)
-    overlaps = _circuit_slices(
+    fit = _environment_slices(spec, [target], lambda values: values[0])
+    overlaps = _binding_slices(
         lambda p: float(np.real(np.vdot(target, ansatz_state(spec, p)))))
     assert _sweep_both(spec, fit, overlaps, rng) <= 1e-12
 
 
+@pytest.mark.parametrize("nu", [0.01, 0.0])
+def test_sampled_bracket_draws_as_the_whole_circuits_do(rng, nu):
+    """Per binding, a sampled step's bracket from coordinate environments
+    equals the one sampled from each whole circuit's exact value, drawing
+    the same shots from an identically seeded stream in ``FAMILIES``
+    order; at nu = 0 the shift families weigh 0 and draw nothing."""
+    g = BurgersGrid(3, 0.2, nu)
+    spec = AnsatzSpec(3, 2, Variant.CU_ALT, Head.RY)
+    p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
+                      build_ansatz(spec, p_t))
+    mode = EstimatorMode(shots=400, rng=np.random.default_rng(7))
+    reference = np.random.default_rng(7)
+    slices = _step_slices(g, prev, spec, mode)
+    params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    for j in range(spec.parameter_count):
+        got = slices(params, j)
+        for b, s in zip(BINDINGS, got):
+            u_lam = build_ansatz(spec, bind_parameter(params, j, b))
+            want = 0.0
+            for (kind, direction), weight, count in zip(
+                    FAMILIES, bracket_weights(g, prev.lam),
+                    family_shots(g, prev, mode.shots)):
+                if weight != 0:
+                    z = _whole_circuit(build_gterm_circuit(
+                        kind, prev.circuit, u_lam, direction=direction))
+                    want += weight * sample_from_expectation(
+                        z, ShotConfig(count), reference)
+            assert abs(s - want) <= 1e-12
+        assert mode.rng.bit_generator.state == reference.bit_generator.state
+        params = bind_parameter(params, j, rng.uniform(-math.pi, math.pi))
+    live = sum(w != 0 for w in bracket_weights(g, prev.lam))
+    assert mode.circuits == 3 * live * spec.parameter_count
+
+
 def test_exact_mode_builds_no_hadamard_test_circuit(monkeypatch):
+    """Neither an exact nor a sampled noiseless step builds a circuit."""
     class Built(Exception):
         pass
 
@@ -195,7 +258,8 @@ def test_exact_mode_builds_no_hadamard_test_circuit(monkeypatch):
                       build_ansatz(spec, fit.params))
     res = optimize_step(grid, prev, spec, fit.params, SweepConfig(sweeps=3))
     assert len(res.trace) >= spec.parameter_count
-    sampled = SweepConfig(sweeps=1, mode=EstimatorMode(
+    sampled = SweepConfig(sweeps=2, mode=EstimatorMode(
         shots=50, rng=np.random.default_rng(0)))
-    with pytest.raises(Built):
-        optimize_step(grid, prev, spec, fit.params, sampled)
+    res = optimize_step(grid, prev, spec, fit.params, sampled)
+    assert len(res.trace) == 2 * spec.parameter_count
+    assert sampled.mode.circuits == 2 * 3 * 5 * spec.parameter_count
