@@ -19,8 +19,8 @@ from .noise import (DeviceCalibration, NoiseModel, QubitCalibration,
                     load_calibration_csv)
 from .sgeo import (FitResult, OptimizeResult, SweepConfig, TraceEntry,
                    fit_initial_state, optimize_step, reconstruct_bracket)
-from .simulator import (ShotConfig, ancilla_expectation_z, density_expectation_z,
-                        run_density, run_statevector, sample_from_expectation)
+from .simulator import (ShotConfig, ancilla_expectation_z, run_density,
+                        run_statevector, sample_from_expectation)
 from .transpile import (BasisTarget, GateCountReport, count_report, decompose,
                         equivalent_up_to_phase, permuted_amps)
 

@@ -32,6 +32,12 @@ from .hadamard import (AdderSpec, EstimatorMode, GTermKind, adder_matrix,
 from .simulator import ancilla_expectation_z, run_statevector
 
 
+# An exact run's coordinate environments hold (d n + 2) 2^n complex128
+# values, under 0.5 GB at n = 16 with the default depth d = 2n - 3; a
+# sampled run holds five times that.
+MAX_GRID_QUBITS = 16
+
+
 @dataclass(frozen=True)
 class BurgersGrid:
     n: int
@@ -39,8 +45,9 @@ class BurgersGrid:
     nu: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_GRID_QUBITS:
+            raise ValueError(
+                f"need 1 <= n <= {MAX_GRID_QUBITS}, got {self.n}")
         if not (0 < self.tau < math.inf and 0 <= self.nu < math.inf):
             raise ValueError(f"need finite tau > 0 and nu >= 0, got {self.tau}, {self.nu}")
 

@@ -24,12 +24,11 @@ class NotHadamardForm(Exception):
     """Circuit does not have the literal H ... H sandwich structure."""
 
 
-def detect_hadamard_form(c: Circuit, ancilla: int | None = None) -> int:
+def detect_hadamard_form(c: Circuit) -> int:
     """Ancilla index of ``c``'s Hadamard form; raises ``NotHadamardForm``."""
+    ancilla = c.ancilla
     if ancilla is None:
-        ancilla = c.ancilla
-    if ancilla is None:
-        raise NotHadamardForm("no ancilla index given or recorded on the circuit")
+        raise NotHadamardForm("no ancilla index recorded on the circuit")
     gates = c.gates
     if not gates:
         raise NotHadamardForm("empty circuit")

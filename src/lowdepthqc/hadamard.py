@@ -14,16 +14,19 @@ projects in exactly the right way.
 
 Every circuit of one U_lam opens with the same H and U_lam; only what
 follows (copy network, inverse evolutions, adder, closing H) depends on
-the family and on U_t.  A noisy estimator cuts each circuit there
-(``EstimatorMode.noisy_values``).  Per family and U_t, a ``TailObservable``
-carries the readout-folded ancilla Z back through the lowered, noisy
-tail to the cut, once.  Per U_lam, the opening is lowered once on its
-n + 1 wires, and its density pass resumes from the native gates it
-shares with the mode's previous opening (``simulator.DensityResume``).
-Each family's value is one trace against its tail observable with the
-family's lead-in, the native lowering of what the opening leaves
-pending, folded in by the same backward walk; the tail keeps one such
-observable per pending product it meets.  ``EstimatorMode.evaluate``
+the family and on U_t.  Every noisy <Z> is read backward:
+``readout_observable`` carries the readout-folded ancilla Z back through
+a lowered, noisy circuit, through a whole one to its start for
+``noisy_expectation``.  A noisy estimator cuts each circuit after U_lam
+(``EstimatorMode.noisy_values``): per family and U_t, a
+``TailObservable`` carries the Z back through the tail to the cut, once.
+Per U_lam, the opening is lowered once on its n + 1 wires, and its
+density pass resumes from the native gates it shares with the mode's
+previous opening (``simulator.DensityResume``).  Each family's value is
+one trace against its tail observable with the family's lead-in, the
+native lowering of what the opening leaves pending, folded in by the
+same backward walk; the tail keeps one such observable per pending
+product it meets.  ``EstimatorMode.evaluate``
 counts a test and draws its shots from its exact value, however found.
 """
 from __future__ import annotations
@@ -36,9 +39,8 @@ import numpy as np
 from . import transpile
 from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
-from .simulator import (DensityResume, ShotConfig, density_expectation_z,
-                        observable_before, run_density, run_statevector,
-                        sample_from_expectation)
+from .simulator import (DensityResume, ShotConfig, observable_before,
+                        run_density, run_statevector, sample_from_expectation)
 
 
 class GTermKind(Enum):
@@ -209,10 +211,6 @@ class EstimatorMode:
     _opening: DensityResume = field(default_factory=DensityResume,
                                     repr=False, compare=False)
 
-    @classmethod
-    def exact(cls) -> "EstimatorMode":
-        return cls()
-
     def evaluate(self, z: float, shots: int | None = None) -> float:
         """One Hadamard test of exact ancilla <Z> ``z``: counts it and, in a
         sampled mode, draws ``shots`` shots (the mode's count by default)."""
@@ -252,8 +250,7 @@ class EstimatorMode:
         opening = elide_body(Circuit(u_lam.width, tuple(_opening(u_lam)),
                                      ancilla=0), 0)
         native = transpile.decompose(opening, self.noise.basis, flush=False)
-        rho = run_density(native, noise=self.noise, keep=range(opening.width),
-                          resume=self._opening).rho
+        rho = run_density(native, noise=self.noise, resume=self._opening)
         self.density_passes += 1
         self.native_gates += self._opening.simulated
         values = []
@@ -279,27 +276,25 @@ class TailObservable:
     U_lam: the circuit's ancilla <Z> is Tr[w rho] for the density rho
     that the opening and the lead-ins leave.
 
-    ``decompose`` lowers the circuit from its cut, and the readout-folded
-    ancilla Z is carried back through the native tail and its channels to
-    the cut; the tail's wires beyond the opening's enter in |0>.  The
-    lead-in of a wire that the opening leaves a product pending on is the
-    native lowering of ``leads[p] @ pending[p]``, with its channels: the
-    gates the whole circuit emits at that wire's first flush in the tail,
-    moved to the cut past gates on other wires only.  So the native gates
-    and their noise are the whole circuit's.  ``observable`` carries
-    ``w`` back through the lead-ins with ``observable_before`` too, on
-    all ``wires``, once per pending product: the table lives as long as
+    ``decompose`` lowers the circuit from its cut, and
+    ``readout_observable`` carries the readout-folded ancilla Z back
+    through the native tail and its channels to the cut; the tail's
+    wires beyond the opening's enter in |0>.  The lead-in of a wire that
+    the opening leaves a product pending on is the native lowering of
+    ``leads[p] @ pending[p]``, with its channels: the gates the whole
+    circuit emits at that wire's first flush in the tail, moved to the
+    cut past gates on other wires only.  So the native gates and their
+    noise are the whole circuit's.  ``observable`` carries ``w`` back
+    through the lead-ins with ``observable_before`` too, on all
+    ``wires``, once per pending product: the table lives as long as
     the tail, one time step.
     """
 
     def __init__(self, circuit: Circuit, noise, wires: int):
         native = transpile.decompose(circuit, noise.basis,
                                      cut=circuit.metadata["cut"])
-        anc = native.metadata["final_positions"][circuit.ancilla]
-        p01, p10 = noise.readout_probs(anc)
-        readout_z = np.diag([1.0 - 2.0 * p10, 2.0 * p01 - 1.0])
         self.wires = range(wires)
-        self.w = observable_before(native, noise, (anc,), readout_z, self.wires)
+        self.w = readout_observable(native, noise, self.wires)
         self.leads = native.metadata["leads"]
         self.noise = noise
         self.gates = len(native.gates)
@@ -346,15 +341,23 @@ def apportion_shots(total: int, weights) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def noisy_expectation(circuit: Circuit, noise, basis) -> float:
-    """Transpile to the native basis, evolve the density matrix with the
-    model's channels, and fold the ancilla readout confusion in analytically."""
-    native = transpile.decompose(circuit, basis)
-    positions = native.metadata.get("final_positions")
-    anc = positions[circuit.ancilla] if positions else circuit.ancilla
-    rho = run_density(native, noise=noise, keep=(anc,))
-    z = density_expectation_z(rho, 0)
+def readout_observable(native: Circuit, noise, keep) -> np.ndarray:
+    """The observable W on the wires ``keep`` (in that order) whose trace
+    with the state at the start of ``native`` is the ancilla <Z> read at
+    its end under ``noise``, readout error included; every other wire
+    starts in |0>.  ``native`` is a ``transpile.decompose`` output: its
+    ``ancilla`` is the logical one, which ends on the wire that
+    ``metadata["final_positions"]`` names.  The readout confusion of that
+    wire folds into Z, which ``observable_before`` carries back."""
+    anc = native.metadata["final_positions"][native.ancilla]
     p01, p10 = noise.readout_probs(anc)
-    p0 = (1.0 + z) / 2.0
-    p0 = (1.0 - p10) * p0 + p01 * (1.0 - p0)
-    return 2.0 * p0 - 1.0
+    readout_z = np.diag([1.0 - 2.0 * p10, 2.0 * p01 - 1.0])
+    return observable_before(native, noise, (anc,), readout_z, keep)
+
+
+def noisy_expectation(circuit: Circuit, noise, basis) -> float:
+    """The ancilla <Z> of ``circuit`` transpiled to the native ``basis`` and
+    run under ``noise``, readout included: its ``readout_observable`` on no
+    wire, a 1x1 matrix, as every wire starts in |0>."""
+    native = transpile.decompose(circuit, basis)
+    return float(readout_observable(native, noise, ())[0, 0].real)

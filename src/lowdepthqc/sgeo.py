@@ -92,7 +92,7 @@ def reconstruct_bracket(sums: tuple[float, float, float], lam: float) -> float:
 @dataclass(frozen=True)
 class SweepConfig:
     sweeps: int = 10
-    mode: EstimatorMode = field(default_factory=EstimatorMode.exact)
+    mode: EstimatorMode = field(default_factory=EstimatorMode)
 
     def __post_init__(self):
         if self.sweeps < 1:

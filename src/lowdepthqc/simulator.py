@@ -10,13 +10,14 @@ C-order axis layout.
 
 Density evolution contracts superoperators with the same kernel, in one
 walker with a direction (``_DensityWalk``).  Forward, ``run_density``
-carries rho from |0...0> through each gate's superoperator, folded with
-the channels a noise model attaches to the gate.  Backward,
-``observable_before`` carries an observable from the end of a circuit to
-its start through the transposed superoperators, in the Heisenberg
-picture, so one pass serves every input state.  Either way 1-qubit runs
-merge into the next 2-qubit gate and only the qubits that are live at a
-gate are simulated; the gates act on at most two qubits, as
+carries rho over every wire from |0...0> through each gate's
+superoperator, folded with the channels a noise model attaches to the
+gate.  Backward, ``observable_before`` carries an observable from the end
+of a circuit to its start through the transposed superoperators, in the
+Heisenberg picture, so one pass serves every input state; it is the only
+pass that drops wires, and so the one that reads a noisy <Z>.  Either way
+1-qubit runs merge into the next 2-qubit gate and only the qubits that are
+live at a gate are simulated; the gates act on at most two qubits, as
 ``transpile.decompose`` emits.  A forward pass can resume from the last
 one (``DensityResume``): the walk is snapshotted after each 2-qubit gate,
 and the next pass starts from the snapshot within the native gates the
@@ -49,12 +50,6 @@ class StateVector:
     amps: np.ndarray
 
 
-@dataclass
-class DensityMatrix:
-    n: int
-    rho: np.ndarray
-
-
 def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     """Contract ``mat`` into the tensor axes ``axes`` (the matrix's index
     order, first axis most significant); returns a C-contiguous tensor.
@@ -80,20 +75,10 @@ def run_statevector(c: Circuit) -> StateVector:
 
 def ancilla_expectation_z(s: StateVector, ancilla: int) -> float:
     """<sigma_z> on one qubit: sum over bitstrings of (-1)^bit |amp|^2."""
-    return _expectation_z(np.abs(s.amps) ** 2, s.n, ancilla)
-
-
-def density_expectation_z(d: DensityMatrix, ancilla: int) -> float:
-    """<sigma_z> on one qubit from the diagonal of rho."""
-    return _expectation_z(np.real(np.diagonal(d.rho)), d.n, ancilla)
-
-
-def _expectation_z(probs: np.ndarray, n: int, qubit: int) -> float:
-    """p(qubit=0) - p(qubit=1) from the 2^n basis-state probabilities."""
-    if not 0 <= qubit < n:
-        raise CircuitError(f"qubit {qubit} out of range for {n} qubits")
-    other = tuple(i for i in range(n) if i != qubit)
-    p = probs.reshape([2] * n).sum(axis=other)
+    if not 0 <= ancilla < s.n:
+        raise CircuitError(f"qubit {ancilla} out of range for {s.n} qubits")
+    other = tuple(i for i in range(s.n) if i != ancilla)
+    p = (np.abs(s.amps) ** 2).reshape([2] * s.n).sum(axis=other)
     return float(p[0] - p[1])
 
 
@@ -109,9 +94,10 @@ def sample_from_expectation(exact_z: float, cfg: ShotConfig,
 # Density path
 # ---------------------------------------------------------------------------
 
-def run_density(c: Circuit, noise=None, keep=None,
-                resume: DensityResume | None = None) -> DensityMatrix:
-    """rho after interleaving each gate's unitary with its noise channels.
+def run_density(c: Circuit, noise=None,
+                resume: DensityResume | None = None) -> np.ndarray:
+    """rho on all ``c.width`` qubits after interleaving each gate's unitary
+    with its noise channels.
 
     Every gate acts on at most two qubits; a wider one raises
     CircuitError, so lower the circuit with ``transpile.decompose`` first.
@@ -119,28 +105,17 @@ def run_density(c: Circuit, noise=None, keep=None,
     returns channel objects with ``qubits`` (a subset of the gate's
     qubits) and ``superop()``.  ``None`` or an empty model gives the pure-state projector.
 
-    ``keep`` lists the qubits whose reduced state is returned, in that
-    order (all of them by default).  The pass is a forward
-    ``_DensityWalk``: a qubit enters as |0><0| when a 2-qubit gate first
-    acts on it, and a qubit outside ``keep`` is traced out after its last
-    one.
-
-    ``resume`` carries a pass from one call to the next: the pass starts
-    from its snapshot at the last 2-qubit gate within the gates it shares
-    with the previous one, and the result is bit for bit a fresh pass's.
-    Only a pass that keeps every qubit in order resumes, because the
-    trace-out rule looks ahead.
+    The pass is a forward ``_DensityWalk``: a qubit enters as |0><0| when
+    a 2-qubit gate first acts on it, or at the end.  ``resume`` carries a
+    pass from one call to the next: the pass starts from its snapshot at
+    the last 2-qubit gate within the gates it shares with the previous
+    one, and the result is bit for bit a fresh pass's.
     """
-    keep = _check_density(c, keep)
-    if resume is None:
-        start, walk = 0, _DensityWalk(noise)
-    elif keep != tuple(range(c.width)):
-        raise CircuitError("only a pass that keeps every qubit resumes")
-    else:
-        start, walk = resume.restart(c, noise)
-    rho = walk.run(c.gates, keep, start,
-                   None if resume is None else resume.snapshots)
-    return DensityMatrix(len(keep), rho)
+    keep = _check_density(c, range(c.width))
+    start, walk = ((0, _DensityWalk(noise)) if resume is None
+                   else resume.restart(c, noise))
+    return walk.run(c.gates, keep, start,
+                    None if resume is None else resume.snapshots)
 
 
 def observable_before(c: Circuit, noise, qubits, observable: np.ndarray,
@@ -174,15 +149,14 @@ class _DensityWalk:
     channels into one 4x4 superoperator (``_fold``) when a 2-qubit gate
     takes them into its own, so the tensor changes once per 2-qubit gate.
 
-    Four facts depend on the direction.  A wire enters as |0><0| forward
-    and as the identity backward.  A wire outside ``keep`` leaves by the
-    trace forward and by projection on |0> backward.  Forward, its 1-qubit
-    gates after its last 2-qubit gate are skipped, as they cannot change
-    the kept marginal; backward, those on a wire that is not live yet,
-    as they act on the identity, which every channel's adjoint keeps.  A
-    run folds in circuit order, and the runs left at the end fold in
-    ``keep`` order forward and, backward, in the order in which their
-    wires first appear in the circuit.
+    The direction decides three things.  A wire enters as |0><0| forward
+    and as the identity backward.  Only a backward walk drops wires: one
+    outside ``keep`` leaves by projection on |0> at its first gate, and
+    the 1-qubit gates on a wire that is not live yet are skipped, as they
+    act on the identity, which every channel's adjoint keeps; a forward
+    walk's ``keep`` is every wire.  A run folds in circuit order, and the
+    runs left at the end fold in ``keep`` order forward and, backward, in
+    the order in which their wires first appear in the circuit.
 
     Every step replaces the tensor and never writes into it, so a copy
     may share it.
@@ -208,28 +182,21 @@ class _DensityWalk:
         the last, and return the tensor as a matrix over ``keep``, in that
         order.  A forward walk appends (index of the next gate, copy of
         the walk) to ``snapshots`` after each 2-qubit gate."""
-        # where a wire outside keep leaves: forward at its last 2-qubit
-        # gate, backward at its first gate
+        # backward, where a wire outside keep leaves: at its first gate
         leaves = {}
-        for i, inst in enumerate(gates):
-            for q in inst.qubits:
-                if self.backward:
+        if self.backward:
+            for i, inst in enumerate(gates):
+                for q in inst.qubits:
                     leaves.setdefault(q, i)
-                elif len(inst.qubits) == 2:
-                    leaves[q] = i
         steps = (range(len(gates) - 1, -1, -1) if self.backward
                  else range(start, len(gates)))
         for i in steps:
             inst = gates[i]
             qubits = inst.qubits
-            if len(qubits) == 1:
-                q = qubits[0]
-                if (q not in self.live if self.backward
-                        else q not in keep and leaves.get(q, -1) < i):
-                    continue
-                self.pending.setdefault(q, []).append(inst)
-            else:
+            if len(qubits) == 2:
                 self.apply(inst)
+            elif not self.backward or qubits[0] in self.live:
+                self.pending.setdefault(qubits[0], []).append(inst)
             for q in qubits:
                 if q not in keep and leaves.get(q) == i:
                     self.leave(q)
@@ -261,17 +228,15 @@ class _DensityWalk:
         self.tensor = grown.reshape([2] * (2 * len(self.live)))
 
     def leave(self, q: int) -> None:
+        """Backward, project wire ``q`` on |0> once its run is folded in."""
         if q not in self.live:
             return                    # only 1-qubit gates: it never reaches O
         self.flush(q)
         k, a = len(self.live), self.live.index(q)
-        if self.backward:
-            index = [slice(None)] * (2 * k)
-            index[a] = index[k + a] = 0
-            self.tensor = np.ascontiguousarray(self.tensor[tuple(index)])
-        else:
-            self.tensor = np.ascontiguousarray(
-                np.trace(self.tensor, axis1=a, axis2=k + a))
+        index = [slice(None)] * (2 * k)
+        index[a] = index[k + a] = 0
+        # np.array keeps the last wire's 0-d result 0-d
+        self.tensor = np.array(self.tensor[tuple(index)], order="C")
         self.live.remove(q)
 
     def _axes(self, qubits) -> list[int]:
@@ -380,11 +345,10 @@ def check_density_width(n: int) -> None:
 
 
 def _check_density(c: Circuit, keep) -> tuple[int, ...]:
-    """``keep`` as a tuple (all qubits for None), once ``c`` passes the
-    width cap, ``keep`` names distinct qubits of ``c``, and every gate
-    acts on at most two qubits."""
+    """``keep`` as a tuple, once ``c`` passes the width cap, ``keep`` names
+    distinct qubits of ``c``, and every gate acts on at most two qubits."""
     check_density_width(c.width)
-    keep = _qubits_of(c, range(c.width) if keep is None else keep, "keep")
+    keep = _qubits_of(c, keep, "keep")
     for inst in c.gates:
         if len(inst.qubits) > 2:
             raise CircuitError(

@@ -80,7 +80,7 @@ def test_criterion_2_sgeo_reconstruction_exactness():
     prev = FieldState(1.4, np.real(ansatz_state(spec, p_t)),
                       build_ansatz(spec, p_t))
     params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-    mode = EstimatorMode.exact()
+    mode = EstimatorMode()
     worst = 0.0
     for j in range(spec.parameter_count):
         sums = tuple(

@@ -79,10 +79,10 @@ def test_cost_bracket_matches_dense_oracle(rng):
         u_t = build_ansatz(spec, p_t)
         u_lam = build_ansatz(spec, p_l)
         prev = FieldState(1.7, np.real(ansatz_state(spec, p_t)), u_t)
-        got = gterm_values(g, prev, u_lam, EstimatorMode.exact())
+        got = gterm_values(g, prev, u_lam, EstimatorMode())
         want = bracket_oracle(g, prev, np.real(ansatz_state(spec, p_l)))
         assert abs(got - want) <= 1e-10
-        cost = -gterm_values(g, prev, u_lam, EstimatorMode.exact()) ** 2
+        cost = -gterm_values(g, prev, u_lam, EstimatorMode()) ** 2
         assert cost == pytest.approx(-want * want)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, build_ansatz
+from lowdepthqc.burgers import MAX_GRID_QUBITS
 from lowdepthqc.circuit import serialize_circuit
 from lowdepthqc.cli import main
 from lowdepthqc.hadamard import GTermKind, build_gterm_circuit
@@ -267,6 +268,17 @@ def test_flag_the_subcommand_ignores_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["classical", "--steps", "1"], ["fit"],
+                                     ["run", "--steps", "1"]])
+@pytest.mark.parametrize("n", [64, MAX_GRID_QUBITS + 1])
+def test_oversized_register_exits_2_before_any_work(tmp_path, capsys,
+                                                    command, n):
+    out = tmp_path / "out"
+    assert main(command + ["-n", str(n), "--out", str(out)]) == 2
+    assert f"n <= {MAX_GRID_QUBITS}, got {n}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -69,7 +69,7 @@ def test_gterm_circuits_match_dense_oracle(rng):
         for kind in GTermKind:
             for direction in (("plus",) if kind is GTermKind.OVERLAP
                               else ("plus", "minus")):
-                got = _estimate(kind, u_t, u_lam, EstimatorMode.exact(),
+                got = _estimate(kind, u_t, u_lam, EstimatorMode(),
                                 direction=direction)
                 want = gterm_oracle(kind, u_t, u_lam, direction=direction)
                 assert abs(got - want) <= 1e-10, (kind, direction, n)
@@ -77,7 +77,7 @@ def test_gterm_circuits_match_dense_oracle(rng):
 
 def test_gterm_imaginary_part(rng):
     u_t, u_lam = _random_pair(rng, 2)
-    got = _estimate(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode.exact(),
+    got = _estimate(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode(),
                     imaginary=True)
     want = gterm_oracle(GTermKind.OVERLAP, u_t, u_lam, imaginary=True)
     assert abs(got - want) <= 1e-10
@@ -93,7 +93,7 @@ def test_gterm_circuit_is_valid_hadamard_form(rng):
 def test_elided_and_unelided_gterm_agree(rng):
     u_t, u_lam = _random_pair(rng, 3)
     for kind in GTermKind:
-        a = _estimate(kind, u_t, u_lam, EstimatorMode.exact())
+        a = _estimate(kind, u_t, u_lam, EstimatorMode())
         c = build_gterm_circuit(kind, u_t, u_lam, elide=False)
         b = _whole_circuit(c)
         assert abs(a - b) <= 1e-12
@@ -108,7 +108,7 @@ def test_gterm_widths(rng):
 
 def test_sampled_estimator_converges(rng):
     u_t, u_lam = _random_pair(rng, 2)
-    exact = _estimate(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode.exact())
+    exact = _estimate(GTermKind.OVERLAP, u_t, u_lam, EstimatorMode())
     mode = EstimatorMode(shots=200_000, rng=np.random.default_rng(11))
     approx = _estimate(GTermKind.OVERLAP, u_t, u_lam, mode)
     assert abs(approx - exact) < 0.01

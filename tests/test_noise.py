@@ -111,7 +111,7 @@ def test_zero_noise_density_matches_statevector(rng):
                     GateInstance(Gate.RZ, (), (1,), (0.4,)),
                     GateInstance(Gate.RXX, (), (0, 2), (0.9,))))
     psi = run_statevector(c).amps
-    rho = run_density(c, noise=model).rho
+    rho = run_density(c, noise=model)
     assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-12
 
 
@@ -265,7 +265,7 @@ def test_fused_density_matches_gate_by_gate(rng, recipe):
         width = int(rng.integers(2, 6))
         c = _random_native_circuit(rng, width, 25)
         want = _gate_by_gate_density(c, model)
-        got = run_density(c, noise=model).rho
+        got = run_density(c, noise=model)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -274,9 +274,7 @@ def test_resumed_density_equals_a_fresh_pass(rng, recipe):
     """A pass resumed from the previous one equals a fresh pass bit for bit
     when one gate anywhere changes, with 1-qubit runs left pending across
     2-qubit gates on other wires, when nothing changes, when the circuit
-    ends sooner and when another noise model runs it.  A pass that drops
-    a qubit does not resume."""
-    from lowdepthqc.circuit import CircuitError
+    ends sooner and when another noise model runs it."""
     from lowdepthqc.simulator import DensityResume
 
     model = NoiseModel(builtin_profiles()["aqt-ibex"], recipe)
@@ -295,25 +293,35 @@ def test_resumed_density_equals_a_fresh_pass(rng, recipe):
         for circuit, noise in runs:
             got = run_density(circuit, noise=noise, resume=resume)
             want = run_density(circuit, noise=noise)
-            assert got.rho.tobytes() == want.rho.tobytes()
+            assert got.tobytes() == want.tobytes()
         # the repeat walks only the gates after the last 2-qubit gate
         run_density(c, noise=louder, resume=resume)
         last = max(i for i, g in enumerate(c.gates) if len(g.qubits) == 2)
         assert resume.simulated == len(c.gates) - last - 1
-        with pytest.raises(CircuitError, match="keeps every qubit"):
-            run_density(c, noise=model, keep=(0,), resume=resume)
 
 
 def test_reduced_density_is_the_partial_trace(rng):
+    """The forward pass, which keeps every qubit, is the gate-by-gate
+    density; the backward pass, which drops qubits, reads each reduced
+    state: carried back from the matrix unit |i><j| on the qubits ``keep``
+    to those qubits, or to none, the observable reads rho_keep[j, i] in
+    |0...0>.  The last qubit is idle, so it is observed without a gate."""
+    from lowdepthqc.simulator import observable_before
+
     model = NoiseModel(builtin_profiles()["aqt-ibex"], "depol_plus_thermal")
     for _ in range(6):
         width = int(rng.integers(3, 6))
         c = _random_native_circuit(rng, width, 25)
         full = _gate_by_gate_density(c, model)
-        for keep in ((0,), (width - 1,), (2, 0), tuple(range(width))[::-1]):
-            got = run_density(c, noise=model, keep=keep)
-            assert got.n == len(keep)
-            assert np.max(np.abs(got.rho - _partial_trace(full, width, keep))) <= 1e-12
+        assert np.max(np.abs(run_density(c, noise=model) - full)) <= 1e-12
+        for keep in ((0,), (width - 1,), (2, 0)):
+            dim = 1 << len(keep)
+            units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+            want = _partial_trace(full, width, keep)
+            for start in (keep, ()):
+                got = np.array([observable_before(c, model, keep, u, start)[0, 0]
+                                for u in units]).reshape(dim, dim).T
+                assert np.max(np.abs(got - want)) <= 1e-12, (keep, start)
 
 
 def test_observable_before_is_the_adjoint_of_the_evolution(rng):
@@ -394,6 +402,54 @@ def test_observable_before_rejects_a_bad_observable():
                         ((0, 1), z), ((0,), np.kron(z, z))):
         with pytest.raises(CircuitError):
             observable_before(c, None, qubits, obs, (0, 1))
+
+
+def test_observable_before_drops_the_last_live_wire():
+    """Carried back to no qubit, an observable is the 1x1 matrix of its
+    reading in |0...0>, which is W[0, 0] of the same observable carried
+    back to one qubit; with no gate, the observed qubit leaves at the end."""
+    from lowdepthqc.simulator import observable_before
+
+    model = NoiseModel(builtin_profiles()["aqt-ibex"])
+    z = np.diag([1.0, -1.0])
+    for c in (Circuit(2, (GateInstance(Gate.RXX, (), (0, 1), (0.3,)),)),
+              Circuit(2)):
+        got = observable_before(c, model, (0,), z, ())
+        assert got.shape == (1, 1)
+        for q in (0, 1):
+            w = observable_before(c, model, (0,), z, (q,))
+            assert abs(got[0, 0] - w[0, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
+@pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane",
+                                     "ibm-sherbrook", "ibm-kingston"])
+def test_noisy_expectation_is_the_forward_reading(rng, profile, recipe):
+    """``noisy_expectation`` carries the readout-folded Z back to the
+    start; it equals the forward reading: the full density after the
+    lowered circuit, p0 of the ancilla's final wire, and the readout
+    confusion folded into p0.  All five families, at n = 2 and 3."""
+    from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, build_ansatz
+    from lowdepthqc.burgers import FAMILIES
+    from lowdepthqc.hadamard import build_gterm_circuit
+    from lowdepthqc.transpile import decompose
+
+    model = NoiseModel(builtin_profiles()[profile], recipe)
+    for spec in (AnsatzSpec(2, 1, Variant.CRY, Head.X),
+                 AnsatzSpec(3, 1, Variant.CU_ALT, Head.RY)):
+        u_t, u_lam = (build_ansatz(spec, tuple(rng.uniform(
+            -math.pi, math.pi, spec.parameter_count))) for _ in range(2))
+        for kind, direction in FAMILIES:
+            circuit = build_gterm_circuit(kind, u_t, u_lam, direction=direction)
+            native = decompose(circuit, model.basis)
+            anc = native.metadata["final_positions"][circuit.ancilla]
+            probs = np.real(np.diagonal(run_density(native, noise=model)))
+            other = tuple(q for q in range(native.width) if q != anc)
+            p0 = probs.reshape([2] * native.width).sum(axis=other)[0]
+            p01, p10 = model.readout_probs(anc)
+            p0 = (1.0 - p10) * p0 + p01 * (1.0 - p0)
+            got = noisy_expectation(circuit, model, model.basis)
+            assert abs(got - (2.0 * p0 - 1.0)) <= 1e-12, (spec.n, kind, direction)
 
 
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])

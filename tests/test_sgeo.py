@@ -27,7 +27,7 @@ def test_reconstruction_is_exact_along_every_parameter(rng):
     prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
                       build_ansatz(spec, p_t))
     params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-    mode = EstimatorMode.exact()
+    mode = EstimatorMode()
     for j in range(spec.parameter_count):
         sums = tuple(
             gterm_values(grid, prev,
@@ -54,7 +54,7 @@ def test_optimize_step_decreases_cost(rng):
     prev = FieldState(ic.lam, np.real(ansatz_state(spec, fit.params)),
                       build_ansatz(spec, fit.params))
     start_cost = -gterm_values(grid, prev, build_ansatz(spec, fit.params),
-                               EstimatorMode.exact()) ** 2
+                               EstimatorMode()) ** 2
     res = optimize_step(grid, prev, spec, fit.params, SweepConfig(sweeps=5))
     assert res.cost <= start_cost + 1e-12
     # the Lambda a run takes from these parameters
@@ -183,7 +183,7 @@ def test_environment_slices_match_the_circuit_path(n, variant, head, rng):
     p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
     prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
                       build_ansatz(spec, p_t))
-    mode = EstimatorMode.exact()
+    mode = EstimatorMode()
     step = _step_slices(grid, prev, spec, mode)
     circuits = _binding_slices(
         lambda p: gterm_values(grid, prev, build_ansatz(spec, p), mode))
