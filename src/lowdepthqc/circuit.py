@@ -208,8 +208,8 @@ _XX = np.kron(_PX, _PX)
 _ECR = (np.kron(_I2, _PX) - np.kron(_PX, _PY)) / math.sqrt(2)
 
 
-# bound on each memo table of the 1-qubit hot path: here and in
-# ``transpile.emit_1q``
+# bound on each memo table: here, in ``transpile.emit_1q`` and in
+# ``simulator.gate_superop`` and ``simulator.run_superop``
 TABLE_SIZE = 4096
 
 

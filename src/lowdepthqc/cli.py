@@ -32,8 +32,8 @@ import yaml
 
 from .ansatz import AnsatzSpec, BaselineSpec, Head, Variant, ansatz_state, \
     build_ansatz, build_baseline
-from .burgers import (BurgersGrid, FieldState, bracket_oracle,
-                      classical_trajectory, infidelity,
+from .burgers import (MAX_GRID_QUBITS, BurgersGrid, FieldState,
+                      bracket_oracle, classical_trajectory, infidelity,
                       initial_condition_gaussian)
 from .circuit import (CircuitError, parse_circuit, serialize_circuit,
                       target_matrix)
@@ -43,7 +43,7 @@ from .hadamard import EstimatorMode, GTermKind, build_gterm_circuit
 from .noise import (RECIPES, MissingPairError, NoiseModel, builtin_profiles,
                     load_calibration_csv)
 from .sgeo import SweepConfig, fit_initial_state, optimize_step
-from .simulator import check_density_width
+from .simulator import check_density_width, gate_superop, run_superop
 from .transpile import BasisTarget, count_report, decompose, emit_1q
 
 
@@ -138,6 +138,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(cfg, key)
         if value is not None and value < low:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
+    if cfg.n_max > MAX_GRID_QUBITS:
+        raise ConfigError(f"n_max must be <= {MAX_GRID_QUBITS}, got {cfg.n_max}")
     if not 0 < cfg.sigma < math.inf:
         raise ConfigError(f"sigma must be finite and > 0, got {cfg.sigma}")
     if cfg.recipe not in RECIPES:
@@ -225,8 +227,10 @@ def _fit(cfg: ExperimentConfig, ic):
                              seed=cfg.seed)
 
 
-# memo tables of the 1-qubit hot path, whose traffic a run's summary reports
-_TABLES = {"emit_1q_cache": emit_1q, "target_matrix_cache": target_matrix}
+# memo tables of the lowering and the density walk, whose traffic a run's
+# summary reports
+_TABLES = {"emit_1q_cache": emit_1q, "target_matrix_cache": target_matrix,
+           "gate_superop_cache": gate_superop, "run_superop_cache": run_superop}
 
 
 def _table_counts() -> dict:

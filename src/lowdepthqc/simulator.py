@@ -16,20 +16,27 @@ gate.  Backward, ``observable_before`` carries an observable from the end
 of a circuit to its start through the transposed superoperators, in the
 Heisenberg picture, so one pass serves every input state; it is the only
 pass that drops wires, and so the one that reads a noisy <Z>.  Either way
-1-qubit runs merge into the next 2-qubit gate and only the qubits that are
-live at a gate are simulated; the gates act on at most two qubits, as
-``transpile.decompose`` emits.  A forward pass can resume from the last
-one (``DensityResume``): the walk is snapshotted after each 2-qubit gate,
-and the next pass starts from the snapshot within the native gates the
-two share.
+1-qubit runs merge into the next 2-qubit gate, each maximal run of
+2-qubit gates on one qubit pair multiplies into one 16x16 superoperator
+before it touches the tensor (gate fusion), and only the qubits that are
+live at a contraction are simulated; the gates act on at most two qubits,
+as ``transpile.decompose`` emits.  Each 2-qubit gate's superoperator and
+each 1-qubit run's fold come from exact tables (``gate_superop``,
+``run_superop``).  A forward pass can resume from the last one
+(``DensityResume``): the walk is snapshotted after each contraction, and
+the next pass starts from the snapshot within the native gates, and the
+block ends, that the two share.
 """
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, gate_unitary, target_matrix
+from .circuit import (TABLE_SIZE, Circuit, CircuitError, GateInstance,
+                      gate_unitary, target_matrix)
 from .noise import DepolarizingChannel
 
 DENSITY_QUBIT_CAP = 12
@@ -103,18 +110,21 @@ def run_density(c: Circuit, noise=None,
     CircuitError, so lower the circuit with ``transpile.decompose`` first.
     ``noise`` follows the NoiseModel protocol: ``channels_for(inst)``
     returns channel objects with ``qubits`` (a subset of the gate's
-    qubits) and ``superop()``.  ``None`` or an empty model gives the pure-state projector.
+    qubits) and ``superop()``; it is hashable, as the superoperator tables
+    key on it.  ``None`` or an empty model gives the pure-state projector.
 
     The pass is a forward ``_DensityWalk``: a qubit enters as |0><0| when
-    a 2-qubit gate first acts on it, or at the end.  ``resume`` carries a
-    pass from one call to the next: the pass starts from its snapshot at
-    the last 2-qubit gate within the gates it shares with the previous
-    one, and the result is bit for bit a fresh pass's.
+    a pair block on it is first contracted, or at the end.  ``resume``
+    carries a pass from one call to the next: the pass starts from its
+    snapshot at the last contraction within the gates and block ends it
+    shares with the previous one, and the result is bit for bit a fresh
+    pass's.
     """
     keep = _check_density(c, range(c.width))
+    ends = _block_ends(c.gates)
     start, walk = ((0, _DensityWalk(noise)) if resume is None
-                   else resume.restart(c, noise))
-    return walk.run(c.gates, keep, start,
+                   else resume.restart(c, ends, noise))
+    return walk.run(c.gates, ends, keep, start,
                     None if resume is None else resume.snapshots)
 
 
@@ -125,8 +135,8 @@ def observable_before(c: Circuit, noise, qubits, observable: np.ndarray,
     ``observable`` on ``qubits`` (in that order) and rho' is what
     ``run_density`` gives after ``c`` from rho, every other qubit entering
     in |0>.  The pass is a backward ``_DensityWalk``: a qubit joins as the
-    identity at its last 2-qubit gate, and a qubit outside ``keep`` is
-    projected on |0> at its first gate.
+    identity when the pair block of its last 2-qubit gate is contracted,
+    and a qubit outside ``keep`` is projected on |0> at its first gate.
     """
     keep = _check_density(c, keep)
     qubits = _qubits_of(c, qubits, "observable qubits")
@@ -136,7 +146,25 @@ def observable_before(c: Circuit, noise, qubits, observable: np.ndarray,
         raise CircuitError(f"observable of shape {o.shape} on {k} qubits")
     walk = _DensityWalk(noise, backward=True)
     walk.live, walk.tensor = list(qubits), o.T.reshape([2] * (2 * k))
-    return np.ascontiguousarray(walk.run(c.gates, keep).T)
+    ends = _block_ends(c.gates, backward=True)
+    return np.ascontiguousarray(walk.run(c.gates, ends, keep).T)
+
+
+def _block_ends(gates, backward: bool = False) -> list[bool]:
+    """Per gate, whether a walk in the given direction contracts a pair
+    block there.  A 2-qubit gate continues its block when the next 2-qubit
+    gate on either of its wires, in walk order, acts on the same pair;
+    otherwise the block ends at it.  A 1-qubit gate ends none."""
+    ends = [False] * len(gates)
+    later: dict[int, int] = {}   # wire -> its next 2-qubit gate in walk order
+    for i in (range(len(gates)) if backward
+              else range(len(gates) - 1, -1, -1)):
+        qubits = gates[i].qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            ends[i] = later.get(a, -1) != later.get(b, -2)
+            later[a] = later[b] = i
+    return ends
 
 
 class _DensityWalk:
@@ -145,21 +173,27 @@ class _DensityWalk:
     first gate first; backward it carries the transpose of an observable
     through each transposed superoperator, last gate first.  Its state is
     the live qubits in axis order, the tensor over them (rows, then
-    columns) and each wire's pending 1-qubit gates.  These fold with their
-    channels into one 4x4 superoperator (``_fold``) when a 2-qubit gate
-    takes them into its own, so the tensor changes once per 2-qubit gate.
+    columns), each wire's pending 1-qubit gates and the open pair blocks.
+    A wire's pending gates fold with their channels into one 4x4
+    superoperator (``run_superop``) when a 2-qubit gate takes them into its
+    own.  A 2-qubit gate multiplies into the block open on its pair, in
+    the qubit order of the block's first gate, or opens one; the block is
+    contracted into the tensor at the gate that ends it (``_block_ends``),
+    so the tensor changes once per run of 2-qubit gates on one pair.
+    Blocks on disjoint pairs can be open at the same time.
 
     The direction decides three things.  A wire enters as |0><0| forward
     and as the identity backward.  Only a backward walk drops wires: one
     outside ``keep`` leaves by projection on |0> at its first gate, and
-    the 1-qubit gates on a wire that is not live yet are skipped, as they
-    act on the identity, which every channel's adjoint keeps; a forward
-    walk's ``keep`` is every wire.  A run folds in circuit order, and the
-    runs left at the end fold in ``keep`` order forward and, backward, in
-    the order in which their wires first appear in the circuit.
+    the 1-qubit gates on a wire that is neither live nor in an open block
+    are skipped, as they act on the identity, which every channel's
+    adjoint keeps; a forward walk's ``keep`` is every wire.  A run folds
+    in circuit order, and the runs left at the end fold in ``keep`` order
+    forward and, backward, in the order in which their wires first appear
+    in the circuit.
 
-    Every step replaces the tensor and never writes into it, so a copy
-    may share it.
+    Every step replaces the tensor and the blocks and never writes into
+    them, so a copy may share them.
     """
 
     def __init__(self, noise, backward: bool = False):
@@ -168,6 +202,8 @@ class _DensityWalk:
         self.live: list[int] = []
         self.tensor = np.ones((), dtype=complex)
         self.pending: dict[int, list] = {}
+        # each wire of an open block -> (the block's qubit order, its product)
+        self.blocks: dict[int, tuple] = {}
 
     def copy(self) -> "_DensityWalk":
         other = _DensityWalk(self.noise, self.backward)
@@ -175,13 +211,16 @@ class _DensityWalk:
         other.tensor = self.tensor
         self.tensor.setflags(write=False)
         other.pending = {q: list(gates) for q, gates in self.pending.items()}
+        other.blocks = dict(self.blocks)
         return other
 
-    def run(self, gates, keep, start: int = 0, snapshots=None) -> np.ndarray:
-        """Walk ``gates``, forward from index ``start`` or backward from
-        the last, and return the tensor as a matrix over ``keep``, in that
-        order.  A forward walk appends (index of the next gate, copy of
-        the walk) to ``snapshots`` after each 2-qubit gate."""
+    def run(self, gates, ends, keep, start: int = 0,
+            snapshots=None) -> np.ndarray:
+        """Walk ``gates`` with their block ``ends``, forward from index
+        ``start`` or backward from the last, and return the tensor as a
+        matrix over ``keep``, in that order.  A forward walk appends (index
+        of the next gate, copy of the walk) to ``snapshots`` after each
+        contraction."""
         # backward, where a wire outside keep leaves: at its first gate
         leaves = {}
         if self.backward:
@@ -194,13 +233,14 @@ class _DensityWalk:
             inst = gates[i]
             qubits = inst.qubits
             if len(qubits) == 2:
-                self.apply(inst)
-            elif not self.backward or qubits[0] in self.live:
+                self.apply(inst, ends[i])
+            elif (not self.backward or qubits[0] in self.live
+                  or qubits[0] in self.blocks):
                 self.pending.setdefault(qubits[0], []).append(inst)
             for q in qubits:
                 if q not in keep and leaves.get(q) == i:
                     self.leave(q)
-            if snapshots is not None and len(qubits) == 2:
+            if snapshots is not None and ends[i]:
                 snapshots.append((i + 1, self.copy()))
         for q in [q for q in self.live if q not in keep]:
             self.leave(q)             # an observed qubit that no gate acts on
@@ -228,7 +268,8 @@ class _DensityWalk:
         self.tensor = grown.reshape([2] * (2 * len(self.live)))
 
     def leave(self, q: int) -> None:
-        """Backward, project wire ``q`` on |0> once its run is folded in."""
+        """Backward, project wire ``q`` on |0> once its run is folded in;
+        its first gate has ended every block on it."""
         if q not in self.live:
             return                    # only 1-qubit gates: it never reaches O
         self.flush(q)
@@ -243,28 +284,34 @@ class _DensityWalk:
         rows = [self.live.index(q) for q in qubits]
         return rows + [len(self.live) + a for a in rows]
 
-    def _channels(self, inst):
-        return self.noise.channels_for(inst) if self.noise is not None else ()
-
     def _take(self, q: int):
         gates = self.pending.pop(q, None)
         if gates is None:
             return None
-        if self.backward:
-            return _fold(gates[::-1], self._channels).T
-        return _fold(gates, self._channels)
+        return run_superop(gates, self.noise, self.backward)
 
-    def apply(self, inst) -> None:
+    def apply(self, inst, end: bool) -> None:
+        """Multiply the 2-qubit gate, with the runs pending on its wires,
+        into the block open on its pair or into a new one, and contract the
+        block into the tensor when ``end``.  By ``_block_ends``, a block
+        open on either wire is on this gate's pair."""
         qubits = inst.qubits
-        sop = gate_superop(inst, self._channels(inst))
-        if self.backward:
-            sop = sop.T
-        parts = [self._take(q) for q in qubits]
+        order, block = self.blocks.pop(qubits[0], (qubits, None))
+        self.blocks.pop(qubits[1], None)
+        sop = gate_superop(inst, self.noise, self.backward)
+        if order != qubits:
+            sop = sop[_SWAP_PAIR]     # ECR is not symmetric
+        parts = [self._take(q) for q in order]
         if parts[0] is not None or parts[1] is not None:
             sop = sop @ _pair_superop(*parts)
-        for q in qubits:
+        if block is not None:
+            sop = sop @ block
+        if not end:
+            self.blocks[order[0]] = self.blocks[order[1]] = (order, sop)
+            return
+        for q in order:
             self.enter(q)
-        self.tensor = _apply_matrix(self.tensor, sop, self._axes(qubits))
+        self.tensor = _apply_matrix(self.tensor, sop, self._axes(order))
 
     def flush(self, q: int) -> None:
         sop = self._take(q)
@@ -275,20 +322,23 @@ class _DensityWalk:
 
 class DensityResume:
     """What one ``run_density`` pass leaves for the next to resume from:
-    its circuit, noise model and a snapshot of the walk after each 2-qubit
-    gate, the only gates that change the tensor.  ``simulated`` counts the
-    gates the last pass walked."""
+    its circuit, block ends, noise model and a snapshot of the walk after
+    each contraction, the only steps that change the tensor.
+    ``simulated`` counts the gates the last pass walked."""
 
     def __init__(self):
         self.circuit = None
+        self.ends: list[bool] = []
         self.noise = None
         self.snapshots: list[tuple[int, _DensityWalk]] = []
         self.simulated = 0
 
-    def restart(self, c: Circuit, noise) -> tuple[int, _DensityWalk]:
-        """Where a pass of ``c`` under ``noise`` starts: the index of the
-        first gate to walk and the walk up to it.  The snapshots past the
-        gates ``c`` shares with the previous pass are dropped; the 1-qubit
+    def restart(self, c: Circuit, ends: list[bool],
+                noise) -> tuple[int, _DensityWalk]:
+        """Where a pass of ``c`` with block ``ends`` under ``noise`` starts:
+        the index of the first gate to walk and the walk up to it.  The
+        snapshots past the longest prefix over which both the gates and
+        their block ends agree with the previous pass are dropped; the
         gates between the last one kept and the first new gate are walked
         again."""
         shared = 0
@@ -296,21 +346,98 @@ class DensityResume:
                 and c.width == self.circuit.width):
             old, new = self.circuit.gates, c.gates
             m = min(len(old), len(new))
-            while shared < m and (old[shared] is new[shared]
-                                  or old[shared] == new[shared]):
+            while (shared < m and self.ends[shared] == ends[shared]
+                   and (old[shared] is new[shared]
+                        or old[shared] == new[shared])):
                 shared += 1
         while self.snapshots and self.snapshots[-1][0] > shared:
             self.snapshots.pop()
-        self.circuit, self.noise = c, noise
+        self.circuit, self.ends, self.noise = c, ends, noise
         start, walk = (self.snapshots[-1] if self.snapshots
                        else (0, _DensityWalk(noise)))
         self.simulated = len(c.gates) - start
         return start, walk.copy()
 
 
-def _fold(gates, channels) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Superoperator tables
+# ---------------------------------------------------------------------------
+
+def _channels(noise, inst):
+    return noise.channels_for(inst) if noise is not None else ()
+
+
+def _bits(params) -> bytes:
+    return struct.pack(f"{len(params)}d", *params)
+
+
+def gate_superop(inst: GateInstance, noise, backward: bool = False
+                 ) -> np.ndarray:
+    """Superoperator of a 2-qubit gate followed by the channels ``noise``
+    attaches to it, each on the gate's qubits or on one of them; its
+    transpose for a backward walk.  The result is read-only and shared: a
+    table of ``circuit.TABLE_SIZE`` entries, least recently used first
+    out, keeps it under the noise model itself (never its ``id``), the
+    direction, and the gate's kind, qubits and angles' bit patterns, so a
+    hit is what a fresh computation returns.  ``gate_superop.cache_info()``
+    counts its hits and misses."""
+    return _gate_table(noise, backward, inst.gate, inst.controls,
+                       inst.targets, _bits(inst.params))
+
+
+@functools.lru_cache(maxsize=TABLE_SIZE)
+def _gate_table(noise, backward, gate, controls, targets, bits) -> np.ndarray:
+    inst = GateInstance(gate, controls, targets,
+                        struct.unpack(f"{len(bits) // 8}d", bits))
+    sop = _unitary_superop(gate_unitary(inst))
+    for ch in _channels(noise, inst):
+        part = ch.superop()
+        if len(ch.qubits) == 1:
+            part = (_pair_superop(part, None) if ch.qubits[0] == inst.qubits[0]
+                    else _pair_superop(None, part))
+        sop = part @ sop
+    sop = np.ascontiguousarray(sop.T if backward else sop)
+    sop.setflags(write=False)
+    return sop
+
+
+gate_superop.cache_info = _gate_table.cache_info
+gate_superop.cache_clear = _gate_table.cache_clear
+
+
+def run_superop(gates, noise, backward: bool = False) -> np.ndarray:
+    """Superoperator of a run of 1-qubit ``gates`` on one qubit, in
+    circuit order, each followed by the channels ``noise`` attaches to it;
+    its transpose for a backward walk.  Read-only and shared, from a table
+    like ``gate_superop``'s, keyed on the noise model, the direction, the
+    qubit, the kinds and the bit patterns of all the angles.
+    ``run_superop.cache_info()`` counts its hits and misses."""
+    params = [p for inst in gates for p in inst.params]
+    return _run_table(noise, backward, gates[0].qubits[0],
+                      tuple(inst.gate for inst in gates), _bits(params))
+
+
+@functools.lru_cache(maxsize=TABLE_SIZE)
+def _run_table(noise, backward, q, kinds, bits) -> np.ndarray:
+    params = iter(struct.unpack(f"{len(bits) // 8}d", bits))
+    gates = [GateInstance(g, (), (q,), tuple(next(params)
+                                             for _ in range(g.n_params)))
+             for g in kinds]
+    if backward:
+        sop = np.ascontiguousarray(_fold(gates[::-1], noise).T)
+    else:
+        sop = _fold(gates, noise)
+    sop.setflags(write=False)
+    return sop
+
+
+run_superop.cache_info = _run_table.cache_info
+run_superop.cache_clear = _run_table.cache_clear
+
+
+def _fold(gates, noise) -> np.ndarray:
     """Superoperator of 1-qubit ``gates`` on one qubit q, in order, each
-    followed by its ``channels(inst)``.  The run is kept as
+    followed by the channels ``noise`` attaches to it.  The run is kept as
     D(survival) (u (x) u*) s: a 1-qubit depolarizing channel D commutes
     with every 1-qubit unitary, so unitaries and depolarizing channels
     only multiply u and the survival factor; other channels fold into the
@@ -319,16 +446,16 @@ def _fold(gates, channels) -> np.ndarray:
     s, u, survival = None, _I2, 1.0
     for inst in gates:
         u = target_matrix(inst.gate, inst.params) @ u
-        for ch in channels(inst):
+        for ch in _channels(noise, inst):
             if isinstance(ch, DepolarizingChannel):
                 survival *= 1.0 - ch.p
             else:
-                s = ch.superop() @ _run_superop(q, s, u, survival)
+                s = ch.superop() @ _fold_part(q, s, u, survival)
                 u, survival = _I2, 1.0
-    return _run_superop(q, s, u, survival)
+    return _fold_part(q, s, u, survival)
 
 
-def _run_superop(q: int, s, u: np.ndarray, survival: float) -> np.ndarray:
+def _fold_part(q: int, s, u: np.ndarray, survival: float) -> np.ndarray:
     sop = _unitary_superop(u)
     if s is not None:
         sop = sop @ s
@@ -366,21 +493,12 @@ def _qubits_of(c: Circuit, qubits, what: str) -> tuple[int, ...]:
     return qubits
 
 
-def gate_superop(inst, channels) -> np.ndarray:
-    """Superoperator of a 2-qubit gate followed by ``channels``, each on
-    the gate's qubits or on one of them."""
-    sop = _unitary_superop(gate_unitary(inst))
-    for ch in channels:
-        part = ch.superop()
-        if len(ch.qubits) == 1:
-            part = (_pair_superop(part, None) if ch.qubits[0] == inst.qubits[0]
-                    else _pair_superop(None, part))
-        sop = part @ sop
-    return sop
-
-
 _I2 = np.eye(2, dtype=complex)
 _IDENTITY_SUPEROP = np.eye(4, dtype=complex)
+# the index (row a, row b, column a, column b) read as one on (b, a):
+# indexing a superoperator's rows and columns with it swaps its qubits
+_SWAP = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(16)
+_SWAP_PAIR = np.ix_(_SWAP, _SWAP)
 
 
 def _unitary_superop(u: np.ndarray) -> np.ndarray:

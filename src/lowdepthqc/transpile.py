@@ -35,9 +35,12 @@ the two pure functions on that path answer from exact tables of
 ``circuit.TABLE_SIZE`` entries each, least recently used first out:
 ``emit_1q`` keyed on the wire, the bytes of the product as complex128
 and the target, and ``circuit.target_matrix`` keyed on the kind and the
-angles' bit patterns.  No key is rounded, so a table returns what the
-function computes; ``emit_1q.cache_info()`` and
-``target_matrix.cache_info()`` count the traffic.
+angles' bit patterns.  Two more tables of that size serve the density
+walk: ``simulator.gate_superop`` (a native 2-qubit gate with its
+channels) and ``simulator.run_superop`` (a 1-qubit run's fold), keyed on
+the noise model, the direction, the qubits, the kinds and the angles'
+bit patterns.  No key is rounded, so a table returns what the function
+computes; each function's ``cache_info()`` counts the traffic.
 """
 from __future__ import annotations
 

@@ -222,6 +222,10 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     assert set(emit) == set(matrices) == {"hits", "misses"}
     assert (emit["hits"] + emit["misses"] > 0) == (passes > 0)
     assert matrices["hits"] + matrices["misses"] > 0
+    # and the density walk's superoperator tables: only a noisy run walks
+    for name in ("gate_superop_cache", "run_superop_cache"):
+        assert set(summary[name]) == {"hits", "misses"}
+        assert (summary[name]["hits"] > 0) == (passes > 0)
     if shots is not None:
         assert len(traces) == 2 * 3
 
@@ -242,6 +246,8 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     ["run", "--nu", "inf"],
     ["run", "--tau", "nan"],
     ["run", "--tau", "inf"],
+    ["gatecount", "--n-max", str(MAX_GRID_QUBITS + 1)],
+    ["gatecount", "--n-max", "40"],
 ])
 def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"

@@ -258,6 +258,48 @@ def _random_native_circuit(rng, width, length):
     return Circuit(width, c.gates + tail.gates)
 
 
+def _angles(rng, gate):
+    return tuple(rng.uniform(-math.pi, math.pi, gate.n_params))
+
+
+def _paired_native_circuit(rng, segments=3):
+    """A native circuit on five wires of a line whose 2-qubit gates come
+    in runs on one pair, as routing makes them.  Each segment interleaves
+    runs on two disjoint pairs, (0, 1) and (2, 3) or (1, 2) and (3, 4),
+    ibm-brisbane's couplings; each gate is an ECR or an RXX in either
+    orientation, followed by up to two 1-qubit gates on its pair."""
+    lines = ((0, 1), (1, 2), (2, 3), (3, 4))
+    ones = (Gate.X, Gate.SX, Gate.RZ, Gate.R)
+    gates = []
+    for _ in range(segments):
+        first = int(rng.integers(2))
+        for _ in range(int(rng.integers(2, 5))):
+            for pair in (lines[first], lines[first + 2]):
+                kind = (Gate.ECR, Gate.RXX)[rng.integers(2)]
+                qubits = pair if rng.integers(2) else pair[::-1]
+                gates.append(GateInstance(kind, (), qubits, _angles(rng, kind)))
+                for _ in range(int(rng.integers(3))):
+                    one = ones[rng.integers(len(ones))]
+                    gates.append(GateInstance(one, (), (int(rng.choice(pair)),),
+                                              _angles(rng, one)))
+    return Circuit(5, tuple(gates))
+
+
+def _inside_runs(gates):
+    """Each index just after a 2-qubit gate whose next 2-qubit gate on
+    either wire acts on the same pair: a cut there splits a run."""
+    cuts = []
+    for i, inst in enumerate(gates):
+        if len(inst.qubits) != 2:
+            continue
+        for later in gates[i + 1:]:
+            if len(later.qubits) == 2 and set(later.qubits) & set(inst.qubits):
+                if set(later.qubits) == set(inst.qubits):
+                    cuts.append(i + 1)
+                break
+    return cuts
+
+
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
 def test_fused_density_matches_gate_by_gate(rng, recipe):
     model = NoiseModel(builtin_profiles()["aqt-ibex"], recipe)
@@ -274,7 +316,8 @@ def test_resumed_density_equals_a_fresh_pass(rng, recipe):
     """A pass resumed from the previous one equals a fresh pass bit for bit
     when one gate anywhere changes, with 1-qubit runs left pending across
     2-qubit gates on other wires, when nothing changes, when the circuit
-    ends sooner and when another noise model runs it."""
+    ends sooner, when another noise model runs it and when a change moves
+    where a run of 2-qubit gates on one pair ends."""
     from lowdepthqc.simulator import DensityResume
 
     model = NoiseModel(builtin_profiles()["aqt-ibex"], recipe)
@@ -298,6 +341,19 @@ def test_resumed_density_equals_a_fresh_pass(rng, recipe):
         run_density(c, noise=louder, resume=resume)
         last = max(i for i, g in enumerate(c.gates) if len(g.qubits) == 2)
         assert resume.simulated == len(c.gates) - last - 1
+    # a change to the second gate of a run on (0, 1) ends the run at its
+    # first gate, inside the prefix of gates the two circuits share, past
+    # a contraction on (2, 3) and (3, 4) while the (0, 1) block is open
+    gate = lambda kind, *qubits: GateInstance(  # noqa: E731
+        kind, (), qubits, _angles(rng, kind))
+    run = (gate(Gate.ECR, 0, 1), gate(Gate.R, 0), gate(Gate.RXX, 2, 3),
+           gate(Gate.ECR, 3, 4), gate(Gate.SX, 1), gate(Gate.ECR, 1, 0),
+           gate(Gate.RZ, 0), gate(Gate.ECR, 0, 1))
+    ended = run[:5] + (gate(Gate.ECR, 1, 2),) + run[6:]
+    for gates in (run, ended, run):
+        got = run_density(Circuit(5, gates), noise=model, resume=resume)
+        want = run_density(Circuit(5, gates), noise=model)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reduced_density_is_the_partial_trace(rng):
@@ -324,6 +380,39 @@ def test_reduced_density_is_the_partial_trace(rng):
                 assert np.max(np.abs(got - want)) <= 1e-12, (keep, start)
 
 
+def _check_adjoint(rng, model, c, keep, observed_sets):
+    """Tr[W sigma], for a random observable on each of ``observed_sets``
+    carried back through ``c`` to the qubits ``keep``, equals Tr[O rho']
+    for a random state sigma of those qubits evolved gate by gate, every
+    other qubit starting in |0>."""
+    from conftest import embed_gate
+    from lowdepthqc.simulator import observable_before
+
+    width, k = c.width, len(keep)
+    sigma = _random_density(rng, k)
+    perm = list(np.argsort(keep))
+    index = [0] * (2 * width)
+    for q in keep:
+        index[q] = index[width + q] = slice(None)
+    start = np.zeros([2] * (2 * width), dtype=complex)
+    start[tuple(index)] = sigma.reshape([2] * (2 * k)).transpose(
+        perm + [k + p for p in perm])
+    rho = start.reshape(1 << width, 1 << width)
+    for inst in c.gates:
+        u = embed_gate(inst, width)
+        rho = u @ rho @ u.conj().T
+        for ch in model.channels_for(inst):
+            rho = _kraus_sum(ch, rho, width)
+    for observed in observed_sets:
+        dim = 1 << len(observed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        obs = a + a.conj().T
+        want = np.trace(obs @ _partial_trace(rho, width, observed))
+        w = observable_before(c, model, observed, obs, keep)
+        assert w.shape == (1 << k, 1 << k)
+        assert abs(np.trace(w @ sigma) - want) <= 1e-12, (observed, keep)
+
+
 def test_observable_before_is_the_adjoint_of_the_evolution(rng):
     """Tr[W sigma] for the observable carried back through a noisy native
     circuit equals Tr[O rho'] for the state evolved forward from sigma on
@@ -332,36 +421,9 @@ def test_observable_before_is_the_adjoint_of_the_evolution(rng):
     never-entangled qubits, observed, kept or neither, are covered too.
     O acts on one qubit, on two or on all the kept ones, and a circuit of
     1-qubit gates only, the shape of a lead-in, is carried back as well."""
-    from conftest import embed_gate, random_circuit
-    from lowdepthqc.simulator import observable_before
+    from conftest import random_circuit
 
     model = NoiseModel(builtin_profiles()["aqt-ibex"], "depol_plus_thermal")
-
-    def check(c, keep, observed_sets):
-        width, k = c.width, len(keep)
-        sigma = _random_density(rng, k)
-        perm = list(np.argsort(keep))
-        index = [0] * (2 * width)
-        for q in keep:
-            index[q] = index[width + q] = slice(None)
-        start = np.zeros([2] * (2 * width), dtype=complex)
-        start[tuple(index)] = sigma.reshape([2] * (2 * k)).transpose(
-            perm + [k + p for p in perm])
-        rho = start.reshape(1 << width, 1 << width)
-        for inst in c.gates:
-            u = embed_gate(inst, width)
-            rho = u @ rho @ u.conj().T
-            for ch in model.channels_for(inst):
-                rho = _kraus_sum(ch, rho, width)
-        for observed in observed_sets:
-            dim = 1 << len(observed)
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            obs = a + a.conj().T
-            want = np.trace(obs @ _partial_trace(rho, width, observed))
-            w = observable_before(c, model, observed, obs, keep)
-            assert w.shape == (1 << k, 1 << k)
-            assert abs(np.trace(w @ sigma) - want) <= 1e-12, (observed, keep)
-
     for _ in range(6):
         idle = int(rng.integers(2, 5))
         width = idle + 2
@@ -375,10 +437,84 @@ def test_observable_before_is_the_adjoint_of_the_evolution(rng):
                      tuple(range(width))[::-1]):
             qubit = int(rng.integers(width))
             pair = tuple(int(q) for q in rng.permutation(width)[:2])
-            check(c, keep, ((qubit,), pair, keep))
+            _check_adjoint(rng, model, c, keep, ((qubit,), pair, keep))
         ones = random_circuit(rng, width, 12, (Gate.SX, Gate.RZ, Gate.R, Gate.X))
         for keep in (tuple(range(width)), (idle + 1, 0)):
-            check(ones, keep, (keep, (int(rng.integers(width)),)))
+            _check_adjoint(rng, model, ones, keep,
+                           (keep, (int(rng.integers(width)),)))
+
+
+@pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
+@pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane"])
+def test_pair_blocks_are_exact(rng, profile, recipe):
+    """Runs of 2-qubit gates on one pair, in both orientations, with
+    1-qubit gates between them and runs on a disjoint pair interleaved,
+    give the gate-by-gate density forward and its adjoint backward.  Cut
+    inside a run, so that a block is open at the cut, the circuit reads
+    the same <O> from the head's density and the tail's observable."""
+    from lowdepthqc.simulator import observable_before
+
+    model = NoiseModel(builtin_profiles()[profile], recipe)
+    for _ in range(3):
+        c = _paired_native_circuit(rng)
+        full = _gate_by_gate_density(c, model)
+        assert np.max(np.abs(run_density(c, noise=model) - full)) <= 1e-12
+        _check_adjoint(rng, model, c, (0, 3), ((1,), (2, 4), (0, 3)))
+        _check_adjoint(rng, model, c, (4, 2, 0, 1, 3), ((3, 1),))
+        cuts = _inside_runs(c.gates)
+        assert cuts
+        cut = cuts[rng.integers(len(cuts))]
+        head = run_density(Circuit(5, c.gates[:cut]), noise=model)
+        for observed in ((0,), (3, 1)):
+            dim = 1 << len(observed)
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            obs = a + a.conj().T
+            want = np.trace(obs @ _partial_trace(full, 5, observed))
+            w = observable_before(Circuit(5, c.gates[cut:]), model, observed,
+                                  obs, range(5))
+            assert abs(np.trace(w @ head) - want) <= 1e-12, (cut, observed)
+
+
+def test_superop_tables_never_mix_models(rng):
+    """Walks under aqt-ibex with each recipe and under its scaled(2.0)
+    copy, in turn and sharing the superoperator tables, then again from
+    the filled tables, equal by bytes the walks each model makes after the
+    tables are cleared, and the forward walk is the gate-by-gate density:
+    no model reads another model's entries, and a hit is what a fresh
+    computation returns.  Angles are keyed by their bit
+    patterns, so RXX(0.0) and RXX(-0.0) take two entries."""
+    from lowdepthqc.simulator import gate_superop, observable_before, run_superop
+
+    ibex = builtin_profiles()["aqt-ibex"]
+    models = (NoiseModel(ibex, "depol_only"),
+              NoiseModel(ibex, "depol_plus_thermal"),
+              NoiseModel(ibex.scaled(2.0)))
+    c = _paired_native_circuit(rng)
+    z = np.diag([1.0, -1.0])
+
+    def walks(model):
+        return (run_density(c, noise=model),
+                observable_before(c, model, (1,), z, (0, 2)))
+
+    def clear():
+        gate_superop.cache_clear()
+        run_superop.cache_clear()
+
+    clear()
+    first = [walks(m) for m in models]
+    again = [walks(m) for m in models]
+    assert gate_superop.cache_info().hits > 0
+    assert run_superop.cache_info().hits > 0
+    for model, shared, repeat in zip(models, first, again):
+        want = _gate_by_gate_density(c, model)
+        assert np.max(np.abs(shared[0] - want)) <= 1e-12
+        clear()
+        for a, b, fresh in zip(shared, repeat, walks(model)):
+            assert a.tobytes() == b.tobytes() == fresh.tobytes()
+    misses = gate_superop.cache_info().misses
+    for angle in (0.0, -0.0):
+        gate_superop(GateInstance(Gate.RXX, (), (0, 1), (angle,)), models[0])
+    assert gate_superop.cache_info().misses == misses + 2
 
 
 def test_observable_before_enforces_the_density_cap():
