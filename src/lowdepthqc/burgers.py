@@ -181,10 +181,7 @@ def gterm_values(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
     angles may differ) or a ValueError is raised.  A noiseless one
     simulates each circuit whole, the reference for coordinate environments.
     """
-    if prev.circuit is None:
-        raise ValueError("previous state carries no preparation circuit")
-    families = [family for family, weight in zip(
-                    FAMILIES, bracket_weights(grid, prev.lam)) if weight != 0]
+    families = weighted_families(grid, prev)
     if mode.noise is None:
         tests = (build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
                  for kind, direction in families)
@@ -192,6 +189,15 @@ def gterm_values(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
     else:
         zs = mode.noisy_values(prev.circuit, u_lam, families)
     return estimate_bracket(grid, prev, dict(zip(families, zs)), mode)
+
+
+def weighted_families(grid: BurgersGrid, prev: FieldState) -> list[tuple]:
+    """The ``FAMILIES`` of nonzero weight, the Hadamard tests a step runs
+    from ``prev``, whose preparation circuit they conjugate by."""
+    if prev.circuit is None:
+        raise ValueError("previous state carries no preparation circuit")
+    return [family for family, weight in zip(
+        FAMILIES, bracket_weights(grid, prev.lam)) if weight != 0]
 
 
 def family_shots(grid: BurgersGrid, prev: FieldState,

@@ -109,6 +109,8 @@ class GateInstance:
     controls: tuple[int, ...] = ()
     targets: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
+    # controls + targets, stored once; derived, so outside eq and hash
+    qubits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gate
@@ -129,10 +131,7 @@ class GateInstance:
         touched = self.controls + self.targets
         if len(set(touched)) != len(touched):
             raise CircuitError(f"{g.value} control/target lists overlap: {touched}")
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        object.__setattr__(self, "qubits", touched)
 
     def validate(self, width: int) -> None:
         for q in self.qubits:

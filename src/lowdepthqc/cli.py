@@ -484,12 +484,18 @@ def cmd_classical(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, seed: bool = True,
+                check: bool = True):
+    """``--config`` and ``--out``, and ``--seed`` and ``--assert`` for a
+    subcommand that reads them."""
     p.add_argument("--config", help="YAML config file")
-    p.add_argument("--seed", type=int, default=None)
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--assert", dest="assert_thresholds", action="store_true",
-                   default=None, help="exit 3 when an acceptance threshold is missed")
+    if check:
+        p.add_argument("--assert", dest="assert_thresholds",
+                       action="store_true", default=None,
+                       help="exit 3 when an acceptance threshold is missed")
 
 
 _MODEL_FLAGS = {
@@ -519,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elide", help="elide ancilla controls in a circuit file")
     p.add_argument("circuit", help="circuit text file")
     p.add_argument("--ancilla", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_elide)
 
     p = sub.add_parser("fit", help="fit the ansatz to the Gaussian profile")
@@ -532,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("noisy-run", help="dynamics through a device noise model")
-    _add_common(p); _add_model(p)
+    _add_common(p, check=False); _add_model(p)
     p.add_argument("--profile", default=None,
                    help="builtin noise profile name")
     p.add_argument("--profile-csv", default=None, dest="profile_csv")
@@ -547,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gatecount)
 
     p = sub.add_parser("classical", help="classical reference trajectory")
-    _add_common(p); _add_model(p, "n", "nu", "tau", "sigma", "steps")
+    _add_common(p, seed=False, check=False)
+    _add_model(p, "n", "nu", "tau", "sigma", "steps")
     p.set_defaults(func=cmd_classical)
     return ap
 

@@ -17,17 +17,19 @@ follows (copy network, inverse evolutions, adder, closing H) depends on
 the family and on U_t.  Every noisy <Z> is read backward:
 ``readout_observable`` carries the readout-folded ancilla Z back through
 a lowered, noisy circuit, through a whole one to its start for
-``noisy_expectation``.  A noisy estimator cuts each circuit after U_lam
-(``EstimatorMode.noisy_values``): per family and U_t, a
-``TailObservable`` carries the Z back through the tail to the cut, once.
-Per U_lam, the opening is lowered once on its n + 1 wires, and its
-density pass resumes from the native gates it shares with the mode's
-previous opening (``simulator.DensityResume``).  Each family's value is
-one trace against its tail observable with the family's lead-in, the
-native lowering of what the opening leaves pending, folded in by the
-same backward walk; the tail keeps one such observable per pending
-product it meets.  ``EstimatorMode.evaluate``
-counts a test and draws its shots from its exact value, however found.
+``noisy_expectation``.  A noisy estimator cuts each circuit after U_lam:
+per family and U_t, a ``TailObservable`` carries the Z back through the
+tail to the cut, once.  Each family's value is one trace of the
+opening's density on its n + 1 wires against its tail observable with
+the family's lead-in, the native lowering of what the opening leaves
+pending, folded in by the same backward walk; the tail keeps one such
+observable per pending product it meets.  ``EstimatorMode.noisy_values``
+lowers and walks one opening whole, the reference;
+``NoisyEnvironments``, which a time step uses, walks per binding only
+the native gates that the binding changes, between a forward carry and
+the tail observables carried back once per sweep to the parameter's
+cut.  ``EstimatorMode.evaluate`` counts a test and draws its shots from
+its exact value, however found.
 """
 from __future__ import annotations
 
@@ -36,11 +38,15 @@ from enum import Enum
 
 import numpy as np
 
+# the benchmark's probes wrap these names where this module looks them up:
+# transpile.decompose ("transpile"), elide_body ("elision.elide"),
+# run_density ("simulator.density"), run_statevector ("simulator.sv") and
+# sample_from_expectation (the shot counter)
 from . import transpile
 from .circuit import Circuit, Gate, GateInstance, controlled_kind, dagger
 from .elision import elide_body
-from .simulator import (DensityResume, ShotConfig, observable_before,
-                        run_density, run_statevector, sample_from_expectation)
+from .simulator import (ShotConfig, observable_before, run_density,
+                        run_statevector, sample_from_expectation)
 
 
 class GTermKind(Enum):
@@ -190,10 +196,9 @@ class EstimatorMode:
     ``rng`` is advanced by every sampled estimate, so a driver seeding it
     once gets a reproducible stream across a whole optimization run.
     ``circuits`` counts the Hadamard tests a device would have run so far;
-    ``density_passes`` counts the density-matrix passes of
-    ``noisy_values``, forward or backward, and ``native_gates`` the
-    native gates they simulated: a resumed opening counts the gates it
-    walked again, and a lead-in counts when its tail's table misses
+    ``density_passes`` counts the density-matrix passes of a noisy
+    estimator, forward or backward, and ``native_gates`` the native gates
+    they walked: a lead-in counts when its tail's table misses
     (``lead_in_misses``) and not when it hits (``lead_in_hits``).
     """
 
@@ -205,11 +210,8 @@ class EstimatorMode:
     native_gates: int = 0
     lead_in_hits: int = 0
     lead_in_misses: int = 0
-    # (U_t, {family: TailObservable}) of the U_t last passed to noisy_values
+    # (U_t, {family: TailObservable}) of the U_t last asked for
     _tails: tuple = field(default=(None, None), repr=False, compare=False)
-    # the last opening's density pass, which the next one resumes from
-    _opening: DensityResume = field(default_factory=DensityResume,
-                                    repr=False, compare=False)
 
     def evaluate(self, z: float, shots: int | None = None) -> float:
         """One Hadamard test of exact ancilla <Z> ``z``: counts it and, in a
@@ -220,22 +222,13 @@ class EstimatorMode:
             z = sample_from_expectation(z, ShotConfig(count), rng=self.rng)
         return z
 
-    def noisy_values(self, u_t: Circuit, u_lam: Circuit, families) -> list[float]:
-        """Exact noisy ancilla <Z> of the Hadamard test of U_lam against U_t
-        for each (kind, direction) of ``families``, with the circuits cut
-        after U_lam.
-
-        A tail depends only on U_t, the noise model and the gate
-        structure of U_lam, which must be U_t's (the angles may differ), so
-        the tails are built, with U_t in U_lam's place, when a U_t first
-        comes (once per time step) and reused while it comes back.  The
-        density of the opening H and U_lam, with each wire's pending 1-qubit
-        product, is evolved once for all the families, resuming from the
-        mode's previous opening; each family's value is then one trace
-        against its tail's observable for that pending product.
-        """
-        if _structure(u_lam) != _structure(u_t):
-            raise ValueError("U_lam must have the gate structure of U_t")
+    def tails(self, u_t: Circuit, families) -> dict:
+        """The ``TailObservable`` of each (kind, direction) of ``families``
+        against U_t.  A tail depends only on U_t, the noise model and the
+        gate structure of U_lam, which must be U_t's (the angles may
+        differ), so the tails are built, with U_t in U_lam's place, when a
+        U_t first comes (once per time step) and reused while it comes
+        back."""
         key, tails = self._tails
         if key != u_t:
             tails = {}
@@ -245,29 +238,167 @@ class EstimatorMode:
                 circuit = build_gterm_circuit(kind, u_t, u_t, direction=direction)
                 tail = TailObservable(circuit, self.noise, u_t.width)
                 tails[kind, direction] = tail
-                self.density_passes += 1
-                self.native_gates += tail.gates
-        opening = elide_body(Circuit(u_lam.width, tuple(_opening(u_lam)),
-                                     ancilla=0), 0)
-        native = transpile.decompose(opening, self.noise.basis, flush=False)
-        rho = run_density(native, noise=self.noise, resume=self._opening)
+                self.walked(tail.gates)
+        return tails
+
+    def walked(self, gates: int) -> None:
+        """Count one density pass over ``gates`` native gates."""
         self.density_passes += 1
-        self.native_gates += self._opening.simulated
-        values = []
-        for family in families:
-            m, lead_in = tails[family].observable(native.metadata["pending"])
+        self.native_gates += gates
+
+    def lead_ins(self, tails, pending: dict) -> np.ndarray:
+        """Each tail's observable for an opening that leaves the ``pending``
+        products, with the lead-in folded in (``TailObservable.observable``),
+        stacked on a trailing axis."""
+        out = []
+        for tail in tails:
+            m, lead_in = tail.observable(pending)
             if lead_in is None:
                 self.lead_in_hits += 1
             else:
                 self.lead_in_misses += 1
                 self.native_gates += len(lead_in)
-            values.append(float(np.real(np.einsum("ij,ji->", m, rho))))
-        return values
+            out.append(m)
+        return np.stack(out, axis=-1)
+
+    def noisy_values(self, u_t: Circuit, u_lam: Circuit, families) -> list[float]:
+        """Exact noisy ancilla <Z> of the Hadamard test of U_lam against U_t
+        for each (kind, direction) of ``families``, with the circuits cut
+        after U_lam: the density of the opening H and U_lam, with each
+        wire's pending 1-qubit product, is evolved once for all the
+        families, and each family's value is one trace against its tail's
+        observable for that pending product.  The reference for
+        ``NoisyEnvironments``, which a time step uses.
+        """
+        _check_structure(u_t, u_lam)
+        tails = self.tails(u_t, families)
+        opening = _elided_opening(u_lam)
+        native = transpile.decompose(opening, self.noise.basis, flush=False)
+        rho = run_density(native, noise=self.noise)
+        self.walked(len(native.gates))
+        return _traces(self.lead_ins([tails[f] for f in families],
+                                     native.metadata["pending"]), rho)
 
 
-def _structure(c: Circuit) -> list[tuple]:
-    """A circuit's gates without their angles."""
-    return [(g.gate, g.controls, g.targets) for g in c.gates]
+def _check_structure(u_t: Circuit, u_lam: Circuit) -> None:
+    """A ValueError unless U_lam has the gates of U_t, up to the angles."""
+    if ([(g.gate, g.controls, g.targets) for g in u_lam.gates]
+            != [(g.gate, g.controls, g.targets) for g in u_t.gates]):
+        raise ValueError("U_lam must have the gate structure of U_t")
+
+
+def _traces(observables: np.ndarray, rho: np.ndarray) -> list[float]:
+    """Tr[W rho] for each W of a stack on a trailing axis."""
+    return np.real(np.einsum("ijf,ji->f", observables, rho)).tolist()
+
+
+def _elided_opening(u_lam: Circuit) -> Circuit:
+    return elide_body(Circuit(u_lam.width, tuple(_opening(u_lam)), ancilla=0), 0)
+
+
+def _bound(inst: GateInstance, angle: float) -> GateInstance:
+    """The 1-parameter gate ``inst`` at ``angle``."""
+    return GateInstance(inst.gate, inst.controls, inst.targets, (angle,))
+
+
+class NoisyEnvironments:
+    """The noisy Hadamard tests of U_lam against U_t for ``families``, one
+    parameter of U_lam at a time over one sweep of ``sgeo``'s coordinate
+    descent, from coordinate environments in Liouville space.
+
+    Parameter j drives logical gate ``at[j]`` of the elided opening H and
+    U_lam.  A binding of it changes only the native gates that the
+    lowering emits from 1-qubit products holding its angle, so each test
+    is split at two boundaries between logical gates:
+
+    * before gate ``at[j]``, the forward carry: ``walk`` is the lowering
+      up to there (routing positions, and pending products tagged with
+      the earliest gate whose angle each holds, ``transpile.Lowering``)
+      and ``rho`` the density of the native gates it has emitted;
+    * at ``cuts[j]``, the first boundary after gate ``at[j]`` where no
+      pending product holds the angle of a gate up to ``at[j]``, the
+      environment: the families' tail observables with their lead-ins
+      (``TailObservable``), carried back together, once per sweep,
+      through the native gates that the sweep's first opening emits
+      after the cut.  Since the sweep began only the parameters up to j
+      have moved, and no native gate after the cut depends on them, so
+      the environment still holds.  When a product holding such an
+      angle is pending at the opening's end (``cuts[j]`` is None), each
+      binding reads its lead-ins from the tails' tables instead.
+
+    Per binding, a copy of ``walk`` lowers only gate ``at[j]`` and the
+    gates up to the cut, and what they emit is walked from ``rho``; each
+    family's value is then one trace against its environment.  The
+    native gates and their noise are those of the whole lowered circuit,
+    as in ``EstimatorMode.noisy_values``.
+    """
+
+    def __init__(self, mode: EstimatorMode, u_t: Circuit, u_lam: Circuit,
+                 families):
+        """The sweep that starts at U_lam, at its first coordinate."""
+        _check_structure(u_t, u_lam)
+        self.mode, self.width = mode, u_lam.width
+        tails = mode.tails(u_t, families)
+        self.tails = [tails[f] for f in families]
+        opening = _elided_opening(u_lam)
+        self.gates = list(opening.gates)
+        self.at = [i for i, inst in enumerate(self.gates) if inst.params]
+        walk = transpile.Lowering(opening, mode.noise.basis)
+        # native gates emitted, and the earliest tag pending, by boundary
+        emitted, earliest = [0], [walk.earliest_tag()]
+        for i, inst in enumerate(self.gates):
+            if i == self.at[0]:
+                self.walk = walk.copy()
+            walk.lower((inst,), i)
+            emitted.append(len(walk.out))
+            earliest.append(walk.earliest_tag())
+        ends = range(len(self.gates) + 1)
+        self.cuts = [next((k for k in ends[i + 1:] if earliest[k] > i), None)
+                     for i in self.at]
+        env = mode.lead_ins(self.tails, walk.pending)
+        self.envs, stop = {}, len(walk.out)
+        for k in sorted({k for k in self.cuts if k is not None}, reverse=True):
+            if emitted[k] < stop:
+                env = self._back(walk.out[emitted[k]:stop], env)
+            self.envs[k], stop = env, emitted[k]
+        self.j = 0
+        self.rho = self._forward(walk.out[:emitted[self.at[0]]])
+
+    def _forward(self, gates, start=None) -> np.ndarray:
+        """The density after ``gates`` from ``start`` (|0...0> if None)."""
+        self.mode.walked(len(gates))
+        return run_density(Circuit(self.width, tuple(gates)),
+                           noise=self.mode.noise, start=start)
+
+    def _back(self, gates, env: np.ndarray) -> np.ndarray:
+        """The stack of observables ``env`` carried back through ``gates``."""
+        self.mode.walked(len(gates))
+        wires = range(self.width)
+        return observable_before(Circuit(self.width, tuple(gates)),
+                                 self.mode.noise, wires, env, wires)
+
+    def advance(self, angle: float) -> None:
+        """Bind the current parameter to ``angle`` and move the head on to
+        the next one."""
+        i = self.at[self.j]
+        self.gates[i] = _bound(self.gates[i], angle)
+        self.j += 1
+        self.rho = self._forward(
+            self.walk.emit(self.gates[i:self.at[self.j]], i), self.rho)
+
+    def values(self, angles) -> list[list[float]]:
+        """Each family's noisy <Z> with the current parameter bound to each
+        of ``angles``."""
+        i, cut = self.at[self.j], self.cuts[self.j]
+        out = []
+        for angle in angles:
+            walk = self.walk.copy()
+            gates = [_bound(self.gates[i], angle)] + self.gates[i + 1:cut]
+            rho = self._forward(walk.emit(gates, i), self.rho)
+            env = (self.envs[cut] if cut is not None
+                   else self.mode.lead_ins(self.tails, walk.pending))
+            out.append(_traces(env, rho))
+        return out
 
 
 class TailObservable:

@@ -28,15 +28,18 @@ coordinate's three slice values from a slice source.  There are two:
   coordinate costs a few 2^n-vector gate actions and inner products per
   target, and no circuit is built or simulated (the environment trick of
   NFT and Rotosolve);
-* the noisy Hadamard tests (``gterm_values``) at each binding, for noisy
-  modes.  They are cut after U_lam: each family's lowered tail is
-  carried back to the cut once per time step as an observable.  Each
-  binding costs one density evolution of the opening H and U_lam on
-  n + 1 qubits, shared by the five families, which resumes from the
-  native gates the opening shares with the previous binding's (within a
-  coordinate, all those before parameter j), and five traces against
-  the tail observables with the lead-ins folded in
-  (``hadamard.EstimatorMode.noisy_values``).
+* coordinate environments in Liouville space
+  (``_noisy_environment_slices``), for noisy modes: the bracket of the
+  Hadamard tests of the weighted families, cut after U_lam, at each
+  binding.  Each family's lowered tail is carried back to the cut once
+  per time step as an observable.  Once per sweep, one backward pass
+  carries the families' observables together through the native opening
+  H and U_lam and stores them at each parameter's cut; a forward carry
+  holds the density and the lowering before parameter j's gate.  A
+  binding lowers only that gate and the few after it up to the cut,
+  walks what they emit on n + 1 qubits and takes one trace per family
+  (``hadamard.NoisyEnvironments``).  ``gterm_values``, which simulates
+  one binding's tests, is their reference.
 
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
@@ -63,12 +66,16 @@ from operator import itemgetter
 
 import numpy as np
 
+# the benchmark's probes wrap build_ansatz ("ansatz.build") and
+# gterm_values ("burgers.gterm") here; no step calls the latter, which
+# stays bound while the benchmark wraps it
 from .ansatz import (AnsatzSpec, Head, ansatz_state, bind_parameter,
                      build_ansatz, register_circuit)
-from .burgers import (FAMILIES, BurgersGrid, FieldState, estimate_bracket,
-                      family_targets, gterm_values, infidelity, step_matrix)
+from .burgers import (FAMILIES, BurgersGrid, FieldState,  # noqa: F401
+                      estimate_bracket, family_targets, gterm_values,
+                      infidelity, step_matrix, weighted_families)
 from .circuit import GateInstance, gate_unitary, invert_gate
-from .hadamard import EstimatorMode
+from .hadamard import EstimatorMode, NoisyEnvironments
 from .simulator import _apply_matrix
 
 _BINDINGS = (0.0, math.pi, 2 * math.pi)
@@ -230,14 +237,35 @@ def _environment_slices(spec: AnsatzSpec, targets, bracket):
     return slices
 
 
+def _noisy_environment_slices(grid: BurgersGrid, prev: FieldState,
+                              spec: AnsatzSpec, mode: EstimatorMode):
+    """Slice source of a noisy step: the bracket from the Hadamard tests of
+    the weighted families at each binding (``estimate_bracket``), read
+    from Liouville-space coordinate environments.  At j = 0 a sweep starts
+    (``hadamard.NoisyEnvironments``), and each later call first binds
+    parameter j - 1 at its updated angle in the forward carry, so, as for
+    ``_environment_slices``, ``_descend``'s order of calls keeps it valid.
+    """
+    families = weighted_families(grid, prev)
+    env = None
+
+    def slices(params, j):
+        nonlocal env
+        if j == 0:
+            env = NoisyEnvironments(mode, prev.circuit,
+                                    build_ansatz(spec, params), families)
+        else:
+            env.advance(params[j - 1])
+        return tuple(estimate_bracket(grid, prev, dict(zip(families, zs)), mode)
+                     for zs in env.values(_BINDINGS))
+    return slices
+
+
 def _step_slices(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
                  mode: EstimatorMode):
     """The slice source of a time step from ``prev`` under ``mode``."""
     if mode.noise is not None:
-        def slices(params, j):
-            return tuple(gterm_values(grid, prev, build_ansatz(
-                spec, bind_parameter(params, j, b)), mode) for b in _BINDINGS)
-        return slices
+        return _noisy_environment_slices(grid, prev, spec, mode)
     if mode.shots is not None:
         return _environment_slices(
             spec, family_targets(prev.psi), lambda values: estimate_bracket(

@@ -10,22 +10,25 @@ C-order axis layout.
 
 Density evolution contracts superoperators with the same kernel, in one
 walker with a direction (``_DensityWalk``).  Forward, ``run_density``
-carries rho over every wire from |0...0> through each gate's
-superoperator, folded with the channels a noise model attaches to the
-gate.  Backward, ``observable_before`` carries an observable from the end
-of a circuit to its start through the transposed superoperators, in the
-Heisenberg picture, so one pass serves every input state; it is the only
-pass that drops wires, and so the one that reads a noisy <Z>.  Either way
-1-qubit runs merge into the next 2-qubit gate, each maximal run of
-2-qubit gates on one qubit pair multiplies into one 16x16 superoperator
-before it touches the tensor (gate fusion), and only the qubits that are
-live at a contraction are simulated; the gates act on at most two qubits,
-as ``transpile.decompose`` emits.  Each 2-qubit gate's superoperator and
+carries rho over every wire, from |0...0> or a given start, through
+each gate's superoperator, folded with the channels a noise model
+attaches to the gate.  Backward, ``observable_before`` carries an
+observable from the end of a circuit to its start through the
+transposed superoperators, in the Heisenberg picture, so one pass
+serves every input state; it is the only pass that drops wires, and so
+the one that reads a noisy <Z>.  Either way 1-qubit runs merge into the
+next 2-qubit gate, each maximal run of 2-qubit gates on one qubit pair
+multiplies into one 16x16 superoperator before it touches the tensor
+(gate fusion), and only the qubits that are live at a contraction are
+simulated; the gates act on at most two qubits, as
+``transpile.decompose`` emits.  Each 2-qubit gate's superoperator and
 each 1-qubit run's fold come from exact tables (``gate_superop``,
-``run_superop``).  A forward pass can resume from the last one
-(``DensityResume``): the walk is snapshotted after each contraction, and
-the next pass starts from the snapshot within the native gates, and the
-block ends, that the two share.
+``run_superop``).  Passes chain at a cut in a circuit: ``run_density``
+starts from a given rho on every wire, and ``observable_before`` carries
+a stack of observables on a trailing axis back together, so a noisy
+estimator can walk a circuit's head once, carry its observables back
+through its tail once, and walk only the gates between the two for each
+binding of a parameter (``hadamard.NoisyEnvironments``).
 """
 from __future__ import annotations
 
@@ -101,10 +104,10 @@ def sample_from_expectation(exact_z: float, cfg: ShotConfig,
 # Density path
 # ---------------------------------------------------------------------------
 
-def run_density(c: Circuit, noise=None,
-                resume: DensityResume | None = None) -> np.ndarray:
+def run_density(c: Circuit, noise=None, start=None) -> np.ndarray:
     """rho on all ``c.width`` qubits after interleaving each gate's unitary
-    with its noise channels.
+    with its noise channels, from the density ``start`` on those qubits,
+    or from |0...0> when it is None.
 
     Every gate acts on at most two qubits; a wider one raises
     CircuitError, so lower the circuit with ``transpile.decompose`` first.
@@ -113,19 +116,21 @@ def run_density(c: Circuit, noise=None,
     qubits) and ``superop()``; it is hashable, as the superoperator tables
     key on it.  ``None`` or an empty model gives the pure-state projector.
 
-    The pass is a forward ``_DensityWalk``: a qubit enters as |0><0| when
-    a pair block on it is first contracted, or at the end.  ``resume``
-    carries a pass from one call to the next: the pass starts from its
-    snapshot at the last contraction within the gates and block ends it
-    shares with the previous one, and the result is bit for bit a fresh
-    pass's.
+    The pass is a forward ``_DensityWalk``: from |0...0>, a qubit enters
+    as |0><0| when a pair block on it is first contracted, or at the end.
+    Passes chain: walking A from |0...0> and then B from its rho is
+    walking A and B, with every block and 1-qubit run cut at the seam.
     """
     keep = _check_density(c, range(c.width))
-    ends = _block_ends(c.gates)
-    start, walk = ((0, _DensityWalk(noise)) if resume is None
-                   else resume.restart(c, ends, noise))
-    return walk.run(c.gates, ends, keep, start,
-                    None if resume is None else resume.snapshots)
+    walk = _DensityWalk(noise)
+    if start is not None:
+        d = 1 << c.width
+        rho = np.asarray(start, dtype=complex)
+        if rho.shape != (d, d):
+            raise CircuitError(f"start density of shape {rho.shape} on "
+                               f"{c.width} qubits")
+        walk.live, walk.tensor = list(keep), rho.reshape([2] * (2 * c.width))
+    return walk.run(c.gates, _block_ends(c.gates), keep)
 
 
 def observable_before(c: Circuit, noise, qubits, observable: np.ndarray,
@@ -134,20 +139,23 @@ def observable_before(c: Circuit, noise, qubits, observable: np.ndarray,
     Tr[W rho] = Tr[O rho'] for every state rho of those qubits, where O is
     ``observable`` on ``qubits`` (in that order) and rho' is what
     ``run_density`` gives after ``c`` from rho, every other qubit entering
-    in |0>.  The pass is a backward ``_DensityWalk``: a qubit joins as the
-    identity when the pair block of its last 2-qubit gate is contracted,
-    and a qubit outside ``keep`` is projected on |0> at its first gate.
+    in |0>.  ``observable`` may be a stack of matrices on a trailing axis,
+    carried back together into a stack of W.  The pass is a backward
+    ``_DensityWalk``: a qubit joins as the identity when the pair block of
+    its last 2-qubit gate is contracted, and a qubit outside ``keep`` is
+    projected on |0> at its first gate.
     """
     keep = _check_density(c, keep)
     qubits = _qubits_of(c, qubits, "observable qubits")
     k = len(qubits)
     o = np.array(observable, dtype=complex)
-    if o.shape != (1 << k, 1 << k):
+    if o.shape[:2] != (1 << k, 1 << k) or o.ndim > 3:
         raise CircuitError(f"observable of shape {o.shape} on {k} qubits")
     walk = _DensityWalk(noise, backward=True)
-    walk.live, walk.tensor = list(qubits), o.T.reshape([2] * (2 * k))
+    walk.live = list(qubits)
+    walk.tensor = o.swapaxes(0, 1).reshape([2] * (2 * k) + list(o.shape[2:]))
     ends = _block_ends(c.gates, backward=True)
-    return np.ascontiguousarray(walk.run(c.gates, ends, keep).T)
+    return np.ascontiguousarray(walk.run(c.gates, ends, keep).swapaxes(0, 1))
 
 
 def _block_ends(gates, backward: bool = False) -> list[bool]:
@@ -192,8 +200,8 @@ class _DensityWalk:
     forward and, backward, in the order in which their wires first appear
     in the circuit.
 
-    Every step replaces the tensor and the blocks and never writes into
-    them, so a copy may share them.
+    A backward walk may carry a stack of observables on a trailing axis
+    of the tensor, which every contraction passes through.
     """
 
     def __init__(self, noise, backward: bool = False):
@@ -205,22 +213,11 @@ class _DensityWalk:
         # each wire of an open block -> (the block's qubit order, its product)
         self.blocks: dict[int, tuple] = {}
 
-    def copy(self) -> "_DensityWalk":
-        other = _DensityWalk(self.noise, self.backward)
-        other.live = list(self.live)
-        other.tensor = self.tensor
-        self.tensor.setflags(write=False)
-        other.pending = {q: list(gates) for q, gates in self.pending.items()}
-        other.blocks = dict(self.blocks)
-        return other
-
-    def run(self, gates, ends, keep, start: int = 0,
-            snapshots=None) -> np.ndarray:
-        """Walk ``gates`` with their block ``ends``, forward from index
-        ``start`` or backward from the last, and return the tensor as a
-        matrix over ``keep``, in that order.  A forward walk appends (index
-        of the next gate, copy of the walk) to ``snapshots`` after each
-        contraction."""
+    def run(self, gates, ends, keep) -> np.ndarray:
+        """Walk ``gates`` with their block ``ends``, forward from the first
+        or backward from the last, and return the tensor as a matrix over
+        ``keep``, in that order (a stack of them, when the tensor carries
+        a trailing axis)."""
         # backward, where a wire outside keep leaves: at its first gate
         leaves = {}
         if self.backward:
@@ -228,7 +225,7 @@ class _DensityWalk:
                 for q in inst.qubits:
                     leaves.setdefault(q, i)
         steps = (range(len(gates) - 1, -1, -1) if self.backward
-                 else range(start, len(gates)))
+                 else range(len(gates)))
         for i in steps:
             inst = gates[i]
             qubits = inst.qubits
@@ -240,8 +237,6 @@ class _DensityWalk:
             for q in qubits:
                 if q not in keep and leaves.get(q) == i:
                     self.leave(q)
-            if snapshots is not None and ends[i]:
-                snapshots.append((i + 1, self.copy()))
         for q in [q for q in self.live if q not in keep]:
             self.leave(q)             # an observed qubit that no gate acts on
         if self.backward:
@@ -252,20 +247,23 @@ class _DensityWalk:
             self.enter(q)
         k = len(self.live)
         order = [self.live.index(q) for q in keep]
-        x = self.tensor.transpose(order + [k + a for a in order])
-        return x.reshape(1 << k, 1 << k)
+        x = self.tensor.transpose(order + [k + a for a in order]
+                                  + list(range(2 * k, self.tensor.ndim)))
+        return x.reshape((1 << k, 1 << k) + x.shape[2 * k:])
 
     def enter(self, q: int) -> None:
         if q in self.live:
             return
         d = 1 << len(self.live)
+        stack = self.tensor.shape[2 * len(self.live):]
         if self.backward:
-            grown = self.tensor.reshape(d, 1, d, 1) * _I2.reshape(1, 2, 1, 2)
+            grown = (self.tensor.reshape((d, 1, d, 1) + stack)
+                     * _I2.reshape((1, 2, 1, 2) + (1,) * len(stack)))
         else:
             grown = np.zeros((d, 2, d, 2), dtype=complex)
             grown[:, 0, :, 0] = self.tensor.reshape(d, d)
         self.live.append(q)
-        self.tensor = grown.reshape([2] * (2 * len(self.live)))
+        self.tensor = grown.reshape([2] * (2 * len(self.live)) + list(stack))
 
     def leave(self, q: int) -> None:
         """Backward, project wire ``q`` on |0> once its run is folded in;
@@ -318,45 +316,6 @@ class _DensityWalk:
         if sop is not None:
             self.enter(q)
             self.tensor = _apply_matrix(self.tensor, sop, self._axes((q,)))
-
-
-class DensityResume:
-    """What one ``run_density`` pass leaves for the next to resume from:
-    its circuit, block ends, noise model and a snapshot of the walk after
-    each contraction, the only steps that change the tensor.
-    ``simulated`` counts the gates the last pass walked."""
-
-    def __init__(self):
-        self.circuit = None
-        self.ends: list[bool] = []
-        self.noise = None
-        self.snapshots: list[tuple[int, _DensityWalk]] = []
-        self.simulated = 0
-
-    def restart(self, c: Circuit, ends: list[bool],
-                noise) -> tuple[int, _DensityWalk]:
-        """Where a pass of ``c`` with block ``ends`` under ``noise`` starts:
-        the index of the first gate to walk and the walk up to it.  The
-        snapshots past the longest prefix over which both the gates and
-        their block ends agree with the previous pass are dropped; the
-        gates between the last one kept and the first new gate are walked
-        again."""
-        shared = 0
-        if (self.circuit is not None and noise is self.noise
-                and c.width == self.circuit.width):
-            old, new = self.circuit.gates, c.gates
-            m = min(len(old), len(new))
-            while (shared < m and self.ends[shared] == ends[shared]
-                   and (old[shared] is new[shared]
-                        or old[shared] == new[shared])):
-                shared += 1
-        while self.snapshots and self.snapshots[-1][0] > shared:
-            self.snapshots.pop()
-        self.circuit, self.ends, self.noise = c, ends, noise
-        start, walk = (self.snapshots[-1] if self.snapshots
-                       else (0, _DensityWalk(noise)))
-        self.simulated = len(c.gates) - start
-        return start, walk.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,17 @@ the product that it multiplies onto the pending one before the wire's
 first flush.  Lowering that product times the pending one with
 ``emit_1q`` gives the native gates the whole walk emits at that flush.
 
+The walk (``Lowering``) tags each pending product with the earliest
+logical gate whose angle it holds; a product of fixed dressings carries
+no tag, and a flush drops the tag with the product.  Routing depends on
+the gate structure alone, so a copy of the walk before a parameter's
+gate, lowering that gate at a new angle and the gates after it, emits
+what a whole walk at those angles would.  From the first boundary
+between logical gates at which no pending product holds the angle of
+that gate or of an earlier one, the walk's state, and so all it emits
+after, is the same whatever those angles are.  The noisy estimator cuts
+its coordinate environments there (``hadamard.NoisyEnvironments``).
+
 A lowering re-derives the same few 1-qubit products many times over, so
 the two pure functions on that path answer from exact tables of
 ``circuit.TABLE_SIZE`` entries each, least recently used first out:
@@ -45,6 +56,7 @@ computes; each function's ``cache_info()`` counts the traffic.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -184,13 +196,15 @@ def _emit_1q(q: int, u: np.ndarray, target: BasisTarget) -> list[GateInstance]:
     return out
 
 
-class _Walk:
+class Lowering:
     """Lowers logical gates and emits native ones in the same pass.
 
     ``pos[logical]`` is the wire's physical position; ``pending[physical]``
-    is the 1-qubit product not yet emitted on that wire.  The first flush
-    of a wire in ``leads`` stores its product there in place of emitting
-    it.
+    is the 1-qubit product not yet emitted on that wire, and
+    ``tags[physical]`` the index, in its circuit, of the earliest logical
+    gate whose angle that product holds (fixed dressings carry no tag).
+    The first flush of a wire in ``leads`` stores its product there in
+    place of emitting it.  A copy resumes the walk where this one stands.
     """
 
     def __init__(self, c: Circuit, target: BasisTarget):
@@ -199,8 +213,22 @@ class _Walk:
         self.work = list(c.metadata.get("work_qubits", []))
         self.pos = list(range(c.width))
         self.pending: dict[int, np.ndarray] = {}
+        self.tags: dict[int, int] = {}
         self.leads: dict[int, np.ndarray | None] = {}
         self.out: list[GateInstance] = []
+
+    def copy(self) -> "Lowering":
+        """The walk as it stands, with nothing emitted; products are never
+        written in place, so the two share them."""
+        other = copy.copy(self)
+        other.pos = list(self.pos)
+        other.pending, other.tags = dict(self.pending), dict(self.tags)
+        other.leads, other.out = dict(self.leads), []
+        return other
+
+    def earliest_tag(self) -> float:
+        """The earliest logical gate whose angle a pending product holds."""
+        return min(self.tags.values(), default=math.inf)
 
     def _push(self, p: int, m: np.ndarray):
         self.pending[p] = m @ self.pending.get(p, _I2)
@@ -209,6 +237,7 @@ class _Walk:
         m = self.pending.pop(p, None)
         if m is None:
             return
+        self.tags.pop(p, None)
         if p in self.leads and self.leads[p] is None:
             self.leads[p] = m
         else:
@@ -228,8 +257,13 @@ class _Walk:
         self._push(pc, post_c)
         self._push(pt, post_t)
 
-    def u(self, q: int, m: np.ndarray):
-        self._push(self.pos[q], m)
+    def u(self, q: int, m: np.ndarray, tag: int | None = None):
+        """Multiply ``m`` onto wire ``q``'s pending product; ``tag`` is the
+        index of the logical gate whose angle ``m`` holds."""
+        p = self.pos[q]
+        self._push(p, m)
+        if tag is not None:
+            self.tags[p] = min(self.tags.get(p, tag), tag)
 
     def cx(self, c: int, t: int):
         pos = self.pos
@@ -280,27 +314,34 @@ class _Walk:
         for c1, c2, w in reversed(chain):
             self.toffoli(c1, c2, w)
 
-    def lower(self, gates):
-        """Walk the logical ``gates`` in order."""
-        for inst in gates:
+    def lower(self, gates, first: int = 0) -> None:
+        """Walk the logical ``gates`` in order, the first being gate
+        ``first`` of its circuit."""
+        for i, inst in enumerate(gates, first):
             g, ctr, tg, p = inst.gate, inst.controls, inst.targets, inst.params
             if not ctr and g.n_targets == 1:
-                self.u(tg[0], _mat(g, *p))
+                self.u(tg[0], _mat(g, *p), i if p else None)
             elif g in (Gate.CNOT, Gate.MCX):
                 self.mcx(ctr, tg[0])
             elif g is Gate.CRY:
                 half = p[0] / 2
-                self.u(tg[0], _mat(Gate.RY, half))
+                self.u(tg[0], _mat(Gate.RY, half), i)
                 self.mcx(ctr, tg[0])
-                self.u(tg[0], _mat(Gate.RY, -half))
+                self.u(tg[0], _mat(Gate.RY, -half), i)
                 self.mcx(ctr, tg[0])
             elif g is Gate.CU_ALT:
                 half = p[0] / 2
-                self.u(tg[0], _mat(Gate.RY, -half))
+                self.u(tg[0], _mat(Gate.RY, -half), i)
                 self.mcx(ctr, tg[0])
-                self.u(tg[0], _mat(Gate.RY, half))
+                self.u(tg[0], _mat(Gate.RY, half), i)
             else:
                 raise CircuitError(f"cannot lower {g.value}")
+
+    def emit(self, gates, first: int) -> list[GateInstance]:
+        """``lower`` the ``gates`` and return the native gates they emit."""
+        self.out = []
+        self.lower(gates, first)
+        return self.out
 
 
 def decompose(c: Circuit, target: BasisTarget, cut: int = 0,
@@ -319,13 +360,13 @@ def decompose(c: Circuit, target: BasisTarget, cut: int = 0,
     emit the whole walk's gates, each lead-in moved to the cut past gates
     on other wires only.
     """
-    walk = _Walk(c, target)
+    walk = Lowering(c, target)
     walk.lower(c.gates[:cut])
     if cut:
         walk.out = []
         walk.leads = dict.fromkeys(walk.pending)
         walk.pending = dict.fromkeys(walk.pending, _I2)
-    walk.lower(c.gates[cut:])
+    walk.lower(c.gates[cut:], cut)
     meta = dict(c.metadata)
     if flush:
         for q in sorted(walk.pending):

@@ -312,48 +312,48 @@ def test_fused_density_matches_gate_by_gate(rng, recipe):
 
 
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
-def test_resumed_density_equals_a_fresh_pass(rng, recipe):
-    """A pass resumed from the previous one equals a fresh pass bit for bit
-    when one gate anywhere changes, with 1-qubit runs left pending across
-    2-qubit gates on other wires, when nothing changes, when the circuit
-    ends sooner, when another noise model runs it and when a change moves
-    where a run of 2-qubit gates on one pair ends."""
-    from lowdepthqc.simulator import DensityResume
+def test_density_passes_chain_at_a_cut(rng, recipe):
+    """Walking B from the density that A leaves equals walking A and B from
+    |0...0>, and carrying observables back through A from what B leaves of
+    them equals carrying them back through A and B, at every cut: in
+    random native circuits, whose 1-qubit runs stay pending across
+    2-qubit gates on other wires, and in runs of 2-qubit gates on one
+    pair, where a cut leaves a block open.  A stack of observables on a
+    trailing axis is carried back as each one alone."""
+    from lowdepthqc.circuit import CircuitError
+    from lowdepthqc.simulator import observable_before
 
     model = NoiseModel(builtin_profiles()["aqt-ibex"], recipe)
-    louder = NoiseModel(builtin_profiles()["aqt-ibex"].scaled(2.0), recipe)
-    resume = DensityResume()
-    for _ in range(4):
-        width = int(rng.integers(2, 6))
-        c = _random_native_circuit(rng, width, 25)
-        runs = []
-        for k in rng.permutation(len(c.gates))[:6]:
-            swap = _random_native_circuit(rng, width, 25).gates[k]
-            edited = c.gates[:k] + (swap,) + c.gates[k + 1:]
-            runs.append((Circuit(width, edited), model))
-        runs += [(c, model), (c, model), (Circuit(width, c.gates[:12]), model),
-                 (c, louder)]
-        for circuit, noise in runs:
-            got = run_density(circuit, noise=noise, resume=resume)
-            want = run_density(circuit, noise=noise)
-            assert got.tobytes() == want.tobytes()
-        # the repeat walks only the gates after the last 2-qubit gate
-        run_density(c, noise=louder, resume=resume)
-        last = max(i for i, g in enumerate(c.gates) if len(g.qubits) == 2)
-        assert resume.simulated == len(c.gates) - last - 1
-    # a change to the second gate of a run on (0, 1) ends the run at its
-    # first gate, inside the prefix of gates the two circuits share, past
-    # a contraction on (2, 3) and (3, 4) while the (0, 1) block is open
-    gate = lambda kind, *qubits: GateInstance(  # noqa: E731
-        kind, (), qubits, _angles(rng, kind))
-    run = (gate(Gate.ECR, 0, 1), gate(Gate.R, 0), gate(Gate.RXX, 2, 3),
-           gate(Gate.ECR, 3, 4), gate(Gate.SX, 1), gate(Gate.ECR, 1, 0),
-           gate(Gate.RZ, 0), gate(Gate.ECR, 0, 1))
-    ended = run[:5] + (gate(Gate.ECR, 1, 2),) + run[6:]
-    for gates in (run, ended, run):
-        got = run_density(Circuit(5, gates), noise=model, resume=resume)
-        want = run_density(Circuit(5, gates), noise=model)
-        assert got.tobytes() == want.tobytes()
+    circuits = [_random_native_circuit(rng, int(rng.integers(2, 6)), 25)
+                for _ in range(3)] + [_paired_native_circuit(rng, 2)]
+    assert _inside_runs(circuits[-1].gates)
+    for c in circuits:
+        wires = range(c.width)
+        whole = run_density(c, noise=model)
+        assert np.max(np.abs(whole - _gate_by_gate_density(c, model))) <= 1e-12
+        # a stack on one wire carried back to all, where wires join it, on
+        # all carried back to one, where they leave it, and on all
+        for observed, kept in (((0,), wires), (wires, (c.width - 1,)),
+                               (wires, wires)):
+            obs = np.stack([_random_density(rng, len(observed))
+                            for _ in range(3)], -1)
+            back = observable_before(c, model, observed, obs, kept)
+            for f in range(3):
+                alone = observable_before(c, model, observed, obs[..., f],
+                                          kept)
+                assert np.max(np.abs(back[..., f] - alone)) <= 1e-12
+        # the last, on all wires, is carried back in two passes at each cut
+        for cut in range(len(c.gates) + 1):
+            head = Circuit(c.width, c.gates[:cut])
+            tail = Circuit(c.width, c.gates[cut:])
+            rho = run_density(tail, noise=model,
+                              start=run_density(head, noise=model))
+            assert np.max(np.abs(rho - whole)) <= 1e-12, cut
+            w = observable_before(head, model, wires, observable_before(
+                tail, model, wires, obs, wires), wires)
+            assert np.max(np.abs(w - back)) <= 1e-12, cut
+        with pytest.raises(CircuitError, match="start density"):
+            run_density(c, noise=model, start=np.eye(2))
 
 
 def test_reduced_density_is_the_partial_trace(rng):
@@ -636,47 +636,60 @@ def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
 @pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane",
                                      "ibm-sherbrook", "ibm-kingston"])
-def test_resumed_openings_equal_fresh_passes(rng, profile, recipe):
-    """A mode resumes each opening's density pass from the native prefix it
-    shares with the previous opening; every family's value equals, bit for
-    bit, the one from a fresh pass.  The openings come as a coordinate
-    update makes them: the bindings 0, pi and 2 pi of parameter j, then
-    the chosen angle, then the same on parameter j + 1."""
-    from lowdepthqc import transpile
-    from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, bind_parameter,
-                                   build_ansatz)
-    from lowdepthqc.burgers import FAMILIES
-    from lowdepthqc.elision import elide_body
-    from lowdepthqc.hadamard import EstimatorMode, _opening
+def test_noisy_environment_slices_match_the_circuit_path(rng, profile,
+                                                         recipe):
+    """A noisy step's slices from Liouville-space coordinate environments
+    equal the brackets of the Hadamard tests cut after U_lam at each
+    binding (``gterm_values``), over two sweeps in which each coordinate
+    moves to a random angle after its slice is taken, so that the forward
+    carry and the second sweep's environments see every update: n = 1..3
+    (and 4 on aqt-ibex) at d = 2, both variants and heads, and the n = 3,
+    d = 3 cu_alt ansatz of the noisy benchmarks.  Every cu_alt ring has
+    a parameter whose angle is still pending at the opening's end, and so
+    reads its own lead-ins; in the n = 3, d = 3 one, the span of the
+    parameter before it reaches the end, on a line of qubits through the
+    routing of the last ring gate."""
+    from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
+                                   bind_parameter, build_ansatz)
+    from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
+                                    gterm_values)
+    from lowdepthqc.hadamard import EstimatorMode, NoisyEnvironments
+    from lowdepthqc.sgeo import _step_slices
 
     model = NoiseModel(builtin_profiles()[profile], recipe)
-    for n in (2, 3, 4):
-        # the IBM calibrations stop short of the n = 4 shift circuits
-        families = FAMILIES if n < 4 or profile == "aqt-ibex" else FAMILIES[:1]
-        for variant in Variant:
-            for head in Head:
-                spec = AnsatzSpec(n, 1, variant, head)
-                params = tuple(rng.uniform(-math.pi, math.pi,
-                                           spec.parameter_count))
-                u_t = build_ansatz(spec, params)
-                mode = EstimatorMode(noise=model)
-                walked, lowered = [], []
-                j = int(rng.integers(spec.parameter_count - 1))
-                for k in (j, j + 1):
-                    for b in (0.0, math.pi, 2 * math.pi, rng.uniform(-3, 3)):
-                        params = bind_parameter(params, k, b)
-                        u_lam = build_ansatz(spec, params)
-                        got = mode.noisy_values(u_t, u_lam, families)
-                        walked.append(mode._opening.simulated)
-                        # a new mode, sharing the tails, walks the opening whole
-                        fresh = EstimatorMode(noise=model, _tails=mode._tails)
-                        want = fresh.noisy_values(u_t, u_lam, families)
-                        assert ([v.hex() for v in got]
-                                == [v.hex() for v in want]), (n, variant, head, k, b)
-                        opening = elide_body(Circuit(
-                            u_lam.width, tuple(_opening(u_lam)), ancilla=0), 0)
-                        native = transpile.decompose(opening, model.basis,
-                                                     flush=False)
-                        lowered.append(len(native.gates))
-                # the first pass walks the whole opening; the later ones resume
-                assert sum(walked[1:]) < sum(lowered[1:])
+    sizes = (1, 2, 3, 4) if profile == "aqt-ibex" else (1, 2, 3)
+    specs = [AnsatzSpec(n, 2, variant, head)
+             for n in sizes for variant in Variant for head in Head]
+    specs.append(AnsatzSpec(3, 3, Variant.CU_ALT, Head.RY))
+    bindings = (0.0, math.pi, 2 * math.pi)
+    for spec in specs:
+        draw = lambda: tuple(rng.uniform(-math.pi, math.pi,  # noqa: E731
+                                         spec.parameter_count))
+        p_t = draw()
+        prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
+                          build_ansatz(spec, p_t))
+        grid = BurgersGrid(spec.n, 0.2, 0.1)   # every family weighs
+        mode = EstimatorMode(noise=model)
+        mode.tails(prev.circuit, FAMILIES)
+        reference = EstimatorMode(noise=model, _tails=mode._tails)
+        step = _step_slices(grid, prev, spec, mode)
+        params = draw()
+        for sweep in range(2):
+            for j in range(spec.parameter_count):
+                got = step(params, j)
+                want = [gterm_values(grid, prev, build_ansatz(
+                    spec, bind_parameter(params, j, b)), reference)
+                    for b in bindings]
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, \
+                    (spec, sweep, j)
+                params = bind_parameter(params, j, rng.uniform(-3, 3))
+        cuts = NoisyEnvironments(mode, prev.circuit, prev.circuit,
+                                 FAMILIES[:1]).cuts
+        # at n = 1 the ring is a bare RY, flushed by the next layer's
+        assert (cuts[-1] is None) == (spec.variant is Variant.CU_ALT
+                                      and spec.n > 1)
+        if spec.d == 3:
+            # the opening is H and one gate per parameter
+            assert cuts[-2] == 1 + spec.parameter_count
+
+

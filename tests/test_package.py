@@ -22,6 +22,9 @@ KEPT_REFERENCES = {
     "kraus": "explicit Kraus family that superop() is checked against",
     "scaled": "error-scaled calibration for the benchmark's noiseless "
               "limit and the noise-monotonicity test",
+    "gterm_values": "the Hadamard tests of one binding, whole or cut "
+                    "after U_lam, that coordinate environments are checked "
+                    "against; the benchmark's burgers.gterm probe wraps it",
     "noisy_expectation": "whole-circuit noisy estimate that the split "
                          "noisy estimator and the benchmark's noiseless "
                          "limit are checked against",
