@@ -174,20 +174,18 @@ def estimate_bracket(grid: BurgersGrid, prev: FieldState, values,
 def gterm_values(grid: BurgersGrid, prev: FieldState, u_lam: Circuit,
                  mode: EstimatorMode) -> float:
     """The bracket S from the Hadamard tests of the families of nonzero
-    weight (``estimate_bracket``).
-
-    A noisy ``mode`` cuts them after U_lam (``EstimatorMode.noisy_values``),
-    so ``u_lam`` must have the gate structure of ``prev.circuit`` (only the
-    angles may differ) or a ValueError is raised.  A noiseless one
-    simulates each circuit whole, the reference for coordinate environments.
+    weight (``estimate_bracket``), each circuit simulated whole and
+    noiseless: the reference for coordinate environments.  A noisy
+    ``mode`` raises a ValueError; a noisy step reads its tests from
+    ``hadamard.NoisyEnvironments``, whose reference is
+    ``hadamard.noisy_expectation``.
     """
+    if mode.noise is not None:
+        raise ValueError("gterm_values simulates noiseless circuits only")
     families = weighted_families(grid, prev)
-    if mode.noise is None:
-        tests = (build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
-                 for kind, direction in families)
-        zs = [ancilla_expectation_z(run_statevector(c), c.ancilla) for c in tests]
-    else:
-        zs = mode.noisy_values(prev.circuit, u_lam, families)
+    tests = (build_gterm_circuit(kind, prev.circuit, u_lam, direction=direction)
+             for kind, direction in families)
+    zs = [ancilla_expectation_z(run_statevector(c), c.ancilla) for c in tests]
     return estimate_bracket(grid, prev, dict(zip(families, zs)), mode)
 
 

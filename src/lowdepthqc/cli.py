@@ -142,6 +142,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"n_max must be <= {MAX_GRID_QUBITS}, got {cfg.n_max}")
     if not 0 < cfg.sigma < math.inf:
         raise ConfigError(f"sigma must be finite and > 0, got {cfg.sigma}")
+    if not 0 <= cfg.fit_threshold < math.inf:
+        raise ConfigError(
+            f"fit_threshold must be finite and >= 0, got {cfg.fit_threshold}")
     if cfg.recipe not in RECIPES:
         raise ConfigError(
             f"unknown recipe {cfg.recipe!r}; available: {list(RECIPES)}")

@@ -17,19 +17,18 @@ follows (copy network, inverse evolutions, adder, closing H) depends on
 the family and on U_t.  Every noisy <Z> is read backward:
 ``readout_observable`` carries the readout-folded ancilla Z back through
 a lowered, noisy circuit, through a whole one to its start for
-``noisy_expectation``.  A noisy estimator cuts each circuit after U_lam:
-per family and U_t, a ``TailObservable`` carries the Z back through the
-tail to the cut, once.  Each family's value is one trace of the
-opening's density on its n + 1 wires against its tail observable with
-the family's lead-in, the native lowering of what the opening leaves
-pending, folded in by the same backward walk; the tail keeps one such
-observable per pending product it meets.  ``EstimatorMode.noisy_values``
-lowers and walks one opening whole, the reference;
-``NoisyEnvironments``, which a time step uses, walks per binding only
-the native gates that the binding changes, between a forward carry and
-the tail observables carried back once per sweep to the parameter's
-cut.  ``EstimatorMode.evaluate`` counts a test and draws its shots from
-its exact value, however found.
+``noisy_expectation``, the reference.  A noisy estimator cuts each
+circuit after U_lam: per family, once per time step, a
+``TailObservable`` carries the Z back through the tail to the cut.
+``NoisyEnvironments`` reads each family's value as one trace of the
+opening's density on its n + 1 wires against its tail observable, with
+the family's lead-in (the native lowering of what the opening leaves
+pending) folded in, the tail keeping one such observable per pending
+product it meets; per binding it walks only the native gates that the
+binding changes, between a forward carry and the tail observables
+carried back once per sweep to the parameter's cut.
+``EstimatorMode.evaluate`` counts a test and draws its shots from its
+exact value, however found.
 """
 from __future__ import annotations
 
@@ -210,8 +209,6 @@ class EstimatorMode:
     native_gates: int = 0
     lead_in_hits: int = 0
     lead_in_misses: int = 0
-    # (U_t, {family: TailObservable}) of the U_t last asked for
-    _tails: tuple = field(default=(None, None), repr=False, compare=False)
 
     def evaluate(self, z: float, shots: int | None = None) -> float:
         """One Hadamard test of exact ancilla <Z> ``z``: counts it and, in a
@@ -222,24 +219,18 @@ class EstimatorMode:
             z = sample_from_expectation(z, ShotConfig(count), rng=self.rng)
         return z
 
-    def tails(self, u_t: Circuit, families) -> dict:
+    def tails(self, u_t: Circuit, families) -> list:
         """The ``TailObservable`` of each (kind, direction) of ``families``
-        against U_t.  A tail depends only on U_t, the noise model and the
-        gate structure of U_lam, which must be U_t's (the angles may
-        differ), so the tails are built, with U_t in U_lam's place, when a
-        U_t first comes (once per time step) and reused while it comes
-        back."""
-        key, tails = self._tails
-        if key != u_t:
-            tails = {}
-            self._tails = (u_t, tails)
+        against U_t, in that order.  A tail depends only on U_t, the noise
+        model and the gate structure of U_lam, which must be U_t's (the
+        angles may differ), so it is built with U_t in U_lam's place, and
+        one list serves a whole time step."""
+        out = []
         for kind, direction in families:
-            if (kind, direction) not in tails:
-                circuit = build_gterm_circuit(kind, u_t, u_t, direction=direction)
-                tail = TailObservable(circuit, self.noise, u_t.width)
-                tails[kind, direction] = tail
-                self.walked(tail.gates)
-        return tails
+            circuit = build_gterm_circuit(kind, u_t, u_t, direction=direction)
+            out.append(TailObservable(circuit, self.noise, u_t.width))
+            self.walked(out[-1].gates)
+        return out
 
     def walked(self, gates: int) -> None:
         """Count one density pass over ``gates`` native gates."""
@@ -260,24 +251,6 @@ class EstimatorMode:
                 self.native_gates += len(lead_in)
             out.append(m)
         return np.stack(out, axis=-1)
-
-    def noisy_values(self, u_t: Circuit, u_lam: Circuit, families) -> list[float]:
-        """Exact noisy ancilla <Z> of the Hadamard test of U_lam against U_t
-        for each (kind, direction) of ``families``, with the circuits cut
-        after U_lam: the density of the opening H and U_lam, with each
-        wire's pending 1-qubit product, is evolved once for all the
-        families, and each family's value is one trace against its tail's
-        observable for that pending product.  The reference for
-        ``NoisyEnvironments``, which a time step uses.
-        """
-        _check_structure(u_t, u_lam)
-        tails = self.tails(u_t, families)
-        opening = _elided_opening(u_lam)
-        native = transpile.decompose(opening, self.noise.basis, flush=False)
-        rho = run_density(native, noise=self.noise)
-        self.walked(len(native.gates))
-        return _traces(self.lead_ins([tails[f] for f in families],
-                                     native.metadata["pending"]), rho)
 
 
 def _check_structure(u_t: Circuit, u_lam: Circuit) -> None:
@@ -302,9 +275,10 @@ def _bound(inst: GateInstance, angle: float) -> GateInstance:
 
 
 class NoisyEnvironments:
-    """The noisy Hadamard tests of U_lam against U_t for ``families``, one
-    parameter of U_lam at a time over one sweep of ``sgeo``'s coordinate
-    descent, from coordinate environments in Liouville space.
+    """The noisy Hadamard tests of U_lam against U_t for the families of
+    ``tails`` (``EstimatorMode.tails`` of U_t), one parameter of U_lam at a
+    time over one sweep of ``sgeo``'s coordinate descent, from coordinate
+    environments in Liouville space.
 
     Parameter j drives logical gate ``at[j]`` of the elided opening H and
     U_lam.  A binding of it changes only the native gates that the
@@ -329,17 +303,15 @@ class NoisyEnvironments:
     Per binding, a copy of ``walk`` lowers only gate ``at[j]`` and the
     gates up to the cut, and what they emit is walked from ``rho``; each
     family's value is then one trace against its environment.  The
-    native gates and their noise are those of the whole lowered circuit,
-    as in ``EstimatorMode.noisy_values``.
+    native gates and their noise are those of the whole lowered circuit
+    that ``noisy_expectation`` reads.
     """
 
     def __init__(self, mode: EstimatorMode, u_t: Circuit, u_lam: Circuit,
-                 families):
+                 tails: list):
         """The sweep that starts at U_lam, at its first coordinate."""
         _check_structure(u_t, u_lam)
-        self.mode, self.width = mode, u_lam.width
-        tails = mode.tails(u_t, families)
-        self.tails = [tails[f] for f in families]
+        self.mode, self.width, self.tails = mode, u_lam.width, tails
         opening = _elided_opening(u_lam)
         self.gates = list(opening.gates)
         self.at = [i for i, inst in enumerate(self.gates) if inst.params]

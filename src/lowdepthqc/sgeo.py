@@ -32,14 +32,15 @@ coordinate's three slice values from a slice source.  There are two:
   (``_noisy_environment_slices``), for noisy modes: the bracket of the
   Hadamard tests of the weighted families, cut after U_lam, at each
   binding.  Each family's lowered tail is carried back to the cut once
-  per time step as an observable.  Once per sweep, one backward pass
-  carries the families' observables together through the native opening
-  H and U_lam and stores them at each parameter's cut; a forward carry
-  holds the density and the lowering before parameter j's gate.  A
-  binding lowers only that gate and the few after it up to the cut,
-  walks what they emit on n + 1 qubits and takes one trace per family
-  (``hadamard.NoisyEnvironments``).  ``gterm_values``, which simulates
-  one binding's tests, is their reference.
+  per time step as an observable (``EstimatorMode.tails``).  Once per
+  sweep, one backward pass carries the families' observables together
+  through the native opening H and U_lam and stores them at each
+  parameter's cut; a forward carry holds the density and the lowering
+  before parameter j's gate.  A binding lowers only that gate and the
+  few after it up to the cut, walks what they emit on n + 1 qubits and
+  takes one trace per family (``hadamard.NoisyEnvironments``).  Each
+  whole circuit's ``hadamard.noisy_expectation`` is their reference, as
+  the whole noiseless circuits of ``gterm_values`` are for the first.
 
 The reconstruction is exact for the ideal circuits, so for the exact
 and the sampled estimators.  Under a noise model it is not, for two
@@ -241,19 +242,21 @@ def _noisy_environment_slices(grid: BurgersGrid, prev: FieldState,
                               spec: AnsatzSpec, mode: EstimatorMode):
     """Slice source of a noisy step: the bracket from the Hadamard tests of
     the weighted families at each binding (``estimate_bracket``), read
-    from Liouville-space coordinate environments.  At j = 0 a sweep starts
+    from Liouville-space coordinate environments.  The families' tails
+    are built once, for the step's U_t; at j = 0 a sweep starts
     (``hadamard.NoisyEnvironments``), and each later call first binds
     parameter j - 1 at its updated angle in the forward carry, so, as for
     ``_environment_slices``, ``_descend``'s order of calls keeps it valid.
     """
     families = weighted_families(grid, prev)
+    tails = mode.tails(prev.circuit, families)
     env = None
 
     def slices(params, j):
         nonlocal env
         if j == 0:
             env = NoisyEnvironments(mode, prev.circuit,
-                                    build_ansatz(spec, params), families)
+                                    build_ansatz(spec, params), tails)
         else:
             env.advance(params[j - 1])
         return tuple(estimate_bracket(grid, prev, dict(zip(families, zs)), mode)

@@ -24,11 +24,12 @@ Toffolis for k controls) when the circuit carries enough work wires,
 and each Toffoli through the standard 6-CNOT network.
 
 The walk can also be cut in two, for the noisy estimator's split after
-U_lam: one half stops with its last 1-qubit products still pending, and
-the other starts at the cut and hands back, per wire left pending there,
-the product that it multiplies onto the pending one before the wire's
-first flush.  Lowering that product times the pending one with
-``emit_1q`` gives the native gates the whole walk emits at that flush.
+U_lam: one half, a ``Lowering`` of the opening, stops with its last
+1-qubit products still pending, and the other, ``decompose`` from the
+cut, hands back, per wire left pending there, the product that it
+multiplies onto the pending one before the wire's first flush.  Lowering
+that product times the pending one with ``emit_1q`` gives the native
+gates the whole walk emits at that flush.
 
 The walk (``Lowering``) tags each pending product with the earliest
 logical gate whose angle it holds; a product of fixed dressings carries
@@ -344,21 +345,19 @@ class Lowering:
         return self.out
 
 
-def decompose(c: Circuit, target: BasisTarget, cut: int = 0,
-              flush: bool = True) -> Circuit:
+def decompose(c: Circuit, target: BasisTarget, cut: int = 0) -> Circuit:
     """Lower ``c`` to the native basis in one walk; tracks the routing
     permutation in ``metadata["final_positions"]``.
 
-    ``flush=False`` leaves the 1-qubit products still pending at the end
-    unemitted, in ``metadata["pending"]`` by physical wire.  ``cut``
-    emits only what the gates from index ``cut`` on add: the gates before
-    it are walked for their routing and for the wires they leave a
-    product pending on, and each such wire's first flush goes, as the
-    product the later gates multiplied onto the pending one, to
-    ``metadata["leads"]``.  So ``emit_1q(p, leads[p] @ pending[p])`` is
-    what the whole walk emits at that flush, and the two halves together
-    emit the whole walk's gates, each lead-in moved to the cut past gates
-    on other wires only.
+    ``cut`` emits only what the gates from index ``cut`` on add: the
+    gates before it are walked for their routing and for the wires they
+    leave a product pending on, and each such wire's first flush goes, as
+    the product the later gates multiplied onto the pending one, to
+    ``metadata["leads"]``.  So, for the products ``pending`` that a
+    ``Lowering`` of the gates before the cut leaves,
+    ``emit_1q(p, leads[p] @ pending[p])`` is what the whole walk emits at
+    that flush, and the two halves together emit the whole walk's gates,
+    each lead-in moved to the cut past gates on other wires only.
     """
     walk = Lowering(c, target)
     walk.lower(c.gates[:cut])
@@ -367,12 +366,9 @@ def decompose(c: Circuit, target: BasisTarget, cut: int = 0,
         walk.leads = dict.fromkeys(walk.pending)
         walk.pending = dict.fromkeys(walk.pending, _I2)
     walk.lower(c.gates[cut:], cut)
+    for q in sorted(walk.pending):
+        walk.flush(q)
     meta = dict(c.metadata)
-    if flush:
-        for q in sorted(walk.pending):
-            walk.flush(q)
-    else:
-        meta["pending"] = walk.pending
     if cut:
         meta["leads"] = walk.leads
     meta["final_positions"] = walk.pos

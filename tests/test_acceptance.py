@@ -28,7 +28,7 @@ from lowdepthqc.hadamard import (EstimatorMode, GTermKind, build_gterm_circuit,
                                  gterm_oracle)
 from lowdepthqc.noise import (DepolarizingChannel, amplitude_damping,
                               dephasing)
-from lowdepthqc.sgeo import fit_initial_state, reconstruct_bracket
+from lowdepthqc.sgeo import _BINDINGS, fit_initial_state, reconstruct_bracket
 from lowdepthqc.simulator import (ShotConfig, _apply_matrix as _apply_superop,
                                   ancilla_expectation_z, run_statevector,
                                   sample_from_expectation)
@@ -86,7 +86,7 @@ def test_criterion_2_sgeo_reconstruction_exactness():
         sums = tuple(
             gterm_values(grid, prev,
                          build_ansatz(spec, bind_parameter(params, j, b)), mode)
-            for b in (0.0, math.pi, 2 * math.pi))
+            for b in _BINDINGS)
         for lam in rng.uniform(-math.pi, math.pi, 64):
             direct = -gterm_values(
                 grid, prev, build_ansatz(spec, bind_parameter(params, j, lam)),

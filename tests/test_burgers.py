@@ -15,6 +15,7 @@ from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
                                  adder_matrix, build_gterm_circuit,
                                  noisy_expectation)
 from lowdepthqc.noise import NoiseModel, builtin_profiles
+from lowdepthqc.sgeo import _BINDINGS, _step_slices
 from lowdepthqc.simulator import (ShotConfig, ancilla_expectation_z,
                                   run_statevector, sample_from_expectation)
 
@@ -194,9 +195,12 @@ def test_inviscid_bracket_skips_the_shift_families(rng, monkeypatch):
 
 @pytest.mark.parametrize("profile", ["aqt-ibex", "ibm-brisbane"])
 def test_noisy_bracket_draws_as_the_whole_circuits_do(rng, profile):
-    """Per binding, the bracket of the cut tests equals the one sampled
-    from each whole circuit's ``noisy_expectation``, drawing the same
-    shots from an identically seeded stream in ``FAMILIES`` order."""
+    """Per binding, a noisy step's bracket from Liouville-space coordinate
+    environments equals the one sampled from each whole circuit's
+    ``noisy_expectation``, drawing the same shots from an identically
+    seeded stream in ``FAMILIES`` order, over two sweeps in which each
+    coordinate moves to a random angle after its slice is taken.
+    ``gterm_values`` simulates noiseless circuits only."""
     g = BurgersGrid(2, 0.2, 0.01)
     spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
     p_t = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
@@ -205,20 +209,26 @@ def test_noisy_bracket_draws_as_the_whole_circuits_do(rng, profile):
     model = NoiseModel(builtin_profiles()[profile])
     mode = EstimatorMode(shots=400, noise=model, rng=np.random.default_rng(7))
     reference = np.random.default_rng(7)
-    p_l = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-    for j in range(spec.parameter_count):
-        for b in (0.0, math.pi, 2 * math.pi, float(rng.uniform(-math.pi, math.pi))):
-            u_lam = build_ansatz(spec, bind_parameter(p_l, j, b))
-            got = gterm_values(g, prev, u_lam, mode)
-            want = 0.0
-            for (kind, direction), weight, count in zip(
-                    FAMILIES, bracket_weights(g, prev.lam),
-                    family_shots(g, prev, mode.shots)):
-                circ = build_gterm_circuit(kind, prev.circuit, u_lam,
-                                           direction=direction)
-                z = noisy_expectation(circ, model, model.basis)
-                want += weight * sample_from_expectation(
-                    z, ShotConfig(count), reference)
-            assert abs(got - want) <= 1e-12
+    slices = _step_slices(g, prev, spec, mode)
+    params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
+    for sweep in range(2):
+        for j in range(spec.parameter_count):
+            got = slices(params, j)
+            for b, s in zip(_BINDINGS, got):
+                u_lam = build_ansatz(spec, bind_parameter(params, j, b))
+                want = 0.0
+                for (kind, direction), weight, count in zip(
+                        FAMILIES, bracket_weights(g, prev.lam),
+                        family_shots(g, prev, mode.shots)):
+                    if weight != 0:
+                        circ = build_gterm_circuit(kind, prev.circuit, u_lam,
+                                                   direction=direction)
+                        z = noisy_expectation(circ, model, model.basis)
+                        want += weight * sample_from_expectation(
+                            z, ShotConfig(count), reference)
+                assert abs(s - want) <= 1e-12, (sweep, j, b)
             assert (mode.rng.bit_generator.state
                     == reference.bit_generator.state)
+            params = bind_parameter(params, j, rng.uniform(-math.pi, math.pi))
+    with pytest.raises(ValueError, match="noiseless"):
+        gterm_values(g, prev, build_ansatz(spec, params), mode)

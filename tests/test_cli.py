@@ -157,7 +157,8 @@ def test_bad_config_exits_2(tmp_path):
     for text in ("variant: nope\n", "steps: abc\n", "nu: fast\n",
                  "snapshots: 0.5\n", "tol: 1e-3\n", "a: 0.0\n", "b: 2.0\n",
                  "fit_restarts: 4\n", "nu: .nan\n", "tau: .inf\n",
-                 "sigma: .nan\n"):
+                 "sigma: .nan\n", "fit_threshold: .nan\n",
+                 "fit_threshold: -1\n", "fit_threshold: .inf\n"):
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 2, text
     assert main(["noisy-run", "-n", "2", "-d", "1",
@@ -249,6 +250,9 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     ["run", "--tau", "inf"],
     ["gatecount", "--n-max", str(MAX_GRID_QUBITS + 1)],
     ["gatecount", "--n-max", "40"],
+    ["fit", "--fit-threshold", "nan"],
+    ["fit", "--fit-threshold", "-1"],
+    ["fit", "--fit-threshold", "inf"],
 ])
 def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"

@@ -7,8 +7,9 @@ from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, build_ansatz
 from lowdepthqc.circuit import Gate
 from lowdepthqc.elision import detect_hadamard_form
 from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
-                                 adder_gates, adder_matrix, apportion_shots,
-                                 build_gterm_circuit, gterm_oracle)
+                                 NoisyEnvironments, adder_gates, adder_matrix,
+                                 apportion_shots, build_gterm_circuit,
+                                 gterm_oracle)
 from lowdepthqc.noise import NoiseModel, builtin_profiles
 from lowdepthqc.simulator import ancilla_expectation_z, run_statevector
 
@@ -132,8 +133,10 @@ def test_cut_tests_need_the_structure_of_u_t():
     mode = EstimatorMode(noise=NoiseModel(builtin_profiles()["aqt-ibex"]))
     spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
     u_t = build_ansatz(spec, (0.1, 0.2, 0.3))
-    assert len(mode.noisy_values(u_t, build_ansatz(spec, (0.4, 0.5, 0.6)),
-                                 [(GTermKind.OVERLAP, "plus")])) == 1
+    tails = mode.tails(u_t, [(GTermKind.OVERLAP, "plus")])
+    env = NoisyEnvironments(mode, u_t, build_ansatz(spec, (0.4, 0.5, 0.6)),
+                            tails)
+    assert [len(values) for values in env.values([0.4])] == [1]
     other = build_ansatz(AnsatzSpec(2, 1, Variant.CRY, Head.RY), (0.4, 0.5, 0.6))
     with pytest.raises(ValueError, match="gate structure"):
-        mode.noisy_values(u_t, other, [(GTermKind.OVERLAP, "plus")])
+        NoisyEnvironments(mode, u_t, other, tails)

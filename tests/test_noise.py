@@ -145,18 +145,21 @@ def test_noise_monotone_in_error_rate(rng):
 def test_estimator_takes_its_basis_from_the_calibration(rng):
     from lowdepthqc.ansatz import AnsatzSpec, Head, Variant, build_ansatz
     from lowdepthqc.hadamard import (EstimatorMode, GTermKind,
-                                     build_gterm_circuit)
+                                     NoisyEnvironments, build_gterm_circuit)
 
     spec = AnsatzSpec(2, 1, Variant.CU_ALT, Head.RY)
-    mk = lambda: build_ansatz(
-        spec, rng.uniform(-math.pi, math.pi, spec.parameter_count))
-    u_t, u_lam = mk(), mk()
+    draw = lambda: tuple(rng.uniform(-math.pi, math.pi,  # noqa: E731
+                                     spec.parameter_count))
+    u_t, p_lam = build_ansatz(spec, draw()), draw()
+    u_lam = build_ansatz(spec, p_lam)
     circ = build_gterm_circuit(GTermKind.SHIFT, u_t, u_lam)
     model = NoiseModel(builtin_profiles()["ibm-brisbane"])
     assert model.basis is BasisTarget.SC
     assert NoiseModel(builtin_profiles()["aqt-ibex"]).basis is BasisTarget.ION
-    [got] = EstimatorMode(noise=model).noisy_values(
-        u_t, u_lam, [(GTermKind.SHIFT, "plus")])
+    mode = EstimatorMode(noise=model)
+    env = NoisyEnvironments(mode, u_t, u_lam,
+                            mode.tails(u_t, [(GTermKind.SHIFT, "plus")]))
+    [[got]] = env.values([p_lam[0]])
     assert abs(got - noisy_expectation(circ, model, BasisTarget.SC)) <= 1e-12
 
 
@@ -594,14 +597,16 @@ def test_noisy_expectation_is_the_forward_reading(rng, profile, recipe):
 def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
     """Each family's value from the opening's density and the tail
     observable with the lead-in folded in is the whole circuit's
-    ``noisy_expectation``: both variants and heads, random angles, then one
-    parameter bound to 0, pi and 2 pi in turn on the same mode, where
-    ``emit_1q`` drops gates, then the random angles again, which the
-    lead-in table answers."""
+    ``noisy_expectation``: both variants and heads, random angles, with
+    the environments advanced to a random coordinate j, which is bound to
+    0, pi and 2 pi, where ``emit_1q`` drops gates, and to its random
+    angle.  A second sweep at the same U_lam reads all five lead-ins from
+    the tails' tables."""
     from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, bind_parameter,
                                    build_ansatz)
     from lowdepthqc.burgers import FAMILIES
-    from lowdepthqc.hadamard import EstimatorMode, build_gterm_circuit
+    from lowdepthqc.hadamard import (EstimatorMode, NoisyEnvironments,
+                                     build_gterm_circuit)
 
     model = NoiseModel(builtin_profiles()[profile], recipe)
     for n in (2, 3, 4) if profile == "aqt-ibex" else (2, 3):
@@ -612,25 +617,26 @@ def test_cut_tests_match_the_whole_circuit(rng, profile, recipe):
             draw = lambda: tuple(rng.uniform(-math.pi, math.pi,  # noqa: E731
                                              spec.parameter_count))
             u_t, p_lam = build_ansatz(spec, draw()), draw()
+            u_lam = build_ansatz(spec, p_lam)
             j = int(rng.integers(spec.parameter_count))
             mode = EstimatorMode(noise=model)
-            wants = {}
-            for b in (None, 0.0, math.pi, 2 * math.pi, None):
-                u_lam = build_ansatz(spec, p_lam if b is None
-                                     else bind_parameter(p_lam, j, b))
-                values = mode.noisy_values(u_t, u_lam, FAMILIES)
+            tails = mode.tails(u_t, FAMILIES)
+            env = NoisyEnvironments(mode, u_t, u_lam, tails)
+            assert mode.lead_in_misses == len(FAMILIES)
+            for k in range(j):
+                env.advance(p_lam[k])
+            angles = (0.0, math.pi, 2 * math.pi, p_lam[j])
+            for b, values in zip(angles, env.values(angles)):
+                bound = build_ansatz(spec, bind_parameter(p_lam, j, b))
                 for (kind, direction), got in zip(FAMILIES, values):
-                    if (b, kind, direction) not in wants:
-                        whole = build_gterm_circuit(kind, u_t, u_lam,
-                                                    direction=direction)
-                        wants[b, kind, direction] = noisy_expectation(
-                            whole, model, model.basis)
-                    assert abs(got - wants[b, kind, direction]) <= 1e-12, \
-                        (n, variant, head, b, kind)
-            # the repeated binding reads all five families from the table
-            assert mode.lead_in_hits >= len(FAMILIES)
-            assert mode.lead_in_misses >= len(FAMILIES)
-            assert mode.lead_in_hits + mode.lead_in_misses == 5 * len(FAMILIES)
+                    whole = build_gterm_circuit(kind, u_t, bound,
+                                                direction=direction)
+                    want = noisy_expectation(whole, model, model.basis)
+                    assert abs(got - want) <= 1e-12, (n, variant, head, b, kind)
+            hits, misses = mode.lead_in_hits, mode.lead_in_misses
+            NoisyEnvironments(mode, u_t, u_lam, tails)
+            assert mode.lead_in_hits == hits + len(FAMILIES)
+            assert mode.lead_in_misses == misses
 
 
 @pytest.mark.parametrize("recipe", ["depol_only", "depol_plus_thermal"])
@@ -640,28 +646,30 @@ def test_noisy_environment_slices_match_the_circuit_path(rng, profile,
                                                          recipe):
     """A noisy step's slices from Liouville-space coordinate environments
     equal the brackets of the Hadamard tests cut after U_lam at each
-    binding (``gterm_values``), over two sweeps in which each coordinate
-    moves to a random angle after its slice is taken, so that the forward
-    carry and the second sweep's environments see every update: n = 1..3
-    (and 4 on aqt-ibex) at d = 2, both variants and heads, and the n = 3,
-    d = 3 cu_alt ansatz of the noisy benchmarks.  Every cu_alt ring has
-    a parameter whose angle is still pending at the opening's end, and so
-    reads its own lead-ins; in the n = 3, d = 3 one, the span of the
-    parameter before it reaches the end, on a line of qubits through the
-    routing of the last ring gate."""
+    binding, each read by a fresh sweep's environments over U_lam with
+    the parameter bound, at their first coordinate, over two sweeps in
+    which each coordinate moves to a random angle after its slice is
+    taken, so that the forward carry and the second sweep's environments
+    see every update: n = 1..3 (and 4 on aqt-ibex) at d = 2, both
+    variants and heads, and the n = 3, d = 3 cu_alt ansatz of the noisy
+    benchmarks.  Every cu_alt ring has a parameter whose angle is still
+    pending at the opening's end, and so reads its own lead-ins; in the
+    n = 3, d = 3 one, the span of the parameter before it reaches the
+    end, on a line of qubits through the routing of the last ring gate.
+    ``test_cut_tests_match_the_whole_circuit`` checks such a fresh read
+    against the whole circuits."""
     from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
                                    bind_parameter, build_ansatz)
     from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
-                                    gterm_values)
+                                    estimate_bracket)
     from lowdepthqc.hadamard import EstimatorMode, NoisyEnvironments
-    from lowdepthqc.sgeo import _step_slices
+    from lowdepthqc.sgeo import _BINDINGS, _step_slices
 
     model = NoiseModel(builtin_profiles()[profile], recipe)
     sizes = (1, 2, 3, 4) if profile == "aqt-ibex" else (1, 2, 3)
     specs = [AnsatzSpec(n, 2, variant, head)
              for n in sizes for variant in Variant for head in Head]
     specs.append(AnsatzSpec(3, 3, Variant.CU_ALT, Head.RY))
-    bindings = (0.0, math.pi, 2 * math.pi)
     for spec in specs:
         draw = lambda: tuple(rng.uniform(-math.pi, math.pi,  # noqa: E731
                                          spec.parameter_count))
@@ -669,27 +677,30 @@ def test_noisy_environment_slices_match_the_circuit_path(rng, profile,
         prev = FieldState(1.3, np.real(ansatz_state(spec, p_t)),
                           build_ansatz(spec, p_t))
         grid = BurgersGrid(spec.n, 0.2, 0.1)   # every family weighs
-        mode = EstimatorMode(noise=model)
-        mode.tails(prev.circuit, FAMILIES)
-        reference = EstimatorMode(noise=model, _tails=mode._tails)
+        mode, reference = EstimatorMode(noise=model), EstimatorMode(noise=model)
+        tails = reference.tails(prev.circuit, FAMILIES)
+
+        def fresh(params):
+            env = NoisyEnvironments(reference, prev.circuit,
+                                    build_ansatz(spec, params), tails)
+            [zs] = env.values([params[0]])
+            return estimate_bracket(grid, prev, dict(zip(FAMILIES, zs)),
+                                    reference)
+
         step = _step_slices(grid, prev, spec, mode)
         params = draw()
         for sweep in range(2):
             for j in range(spec.parameter_count):
                 got = step(params, j)
-                want = [gterm_values(grid, prev, build_ansatz(
-                    spec, bind_parameter(params, j, b)), reference)
-                    for b in bindings]
+                want = [fresh(bind_parameter(params, j, b)) for b in _BINDINGS]
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, \
                     (spec, sweep, j)
                 params = bind_parameter(params, j, rng.uniform(-3, 3))
-        cuts = NoisyEnvironments(mode, prev.circuit, prev.circuit,
-                                 FAMILIES[:1]).cuts
+        cuts = NoisyEnvironments(reference, prev.circuit, prev.circuit,
+                                 tails[:1]).cuts
         # at n = 1 the ring is a bare RY, flushed by the next layer's
         assert (cuts[-1] is None) == (spec.variant is Variant.CU_ALT
                                       and spec.n > 1)
         if spec.d == 3:
             # the opening is H and one gate per parameter
             assert cuts[-2] == 1 + spec.parameter_count
-
-

@@ -22,8 +22,8 @@ KEPT_REFERENCES = {
     "kraus": "explicit Kraus family that superop() is checked against",
     "scaled": "error-scaled calibration for the benchmark's noiseless "
               "limit and the noise-monotonicity test",
-    "gterm_values": "the Hadamard tests of one binding, whole or cut "
-                    "after U_lam, that coordinate environments are checked "
+    "gterm_values": "the Hadamard tests of one binding as whole noiseless "
+                    "circuits, that coordinate environments are checked "
                     "against; the benchmark's burgers.gterm probe wraps it",
     "noisy_expectation": "whole-circuit noisy estimate that the split "
                          "noisy estimator and the benchmark's noiseless "
@@ -54,8 +54,12 @@ def _uses(tree: ast.Module) -> set[str]:
     return names
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_definition_has_a_caller_in_the_package():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     used = set().union(*(_uses(t) for t in trees.values()))
     uncalled = [f"{module}:{line} {name}"
                 for module, tree in trees.items()
@@ -64,6 +68,17 @@ def test_every_definition_has_a_caller_in_the_package():
                 and name not in used and name not in KEPT_REFERENCES]
     assert not uncalled, "defined but never used in src/lowdepthqc: " + \
         ", ".join(uncalled)
+
+
+def test_every_kept_reference_is_defined_and_has_no_caller():
+    """An entry of ``KEPT_REFERENCES`` that the package no longer defines,
+    or that it now calls, is stale."""
+    trees = _trees()
+    used = set().union(*(_uses(t) for t in trees.values()))
+    defined = {name for tree in trees.values() for name, _ in _definitions(tree)}
+    stale = [name for name in KEPT_REFERENCES
+             if name not in defined or name in used]
+    assert not stale, "stale KEPT_REFERENCES entries: " + ", ".join(stale)
 
 
 def test_every_gate_kind_is_named_outside_circuit():

@@ -11,14 +11,12 @@ from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
                                 family_targets, gterm_values, infidelity,
                                 initial_condition_gaussian)
 from lowdepthqc.hadamard import EstimatorMode, build_gterm_circuit
-from lowdepthqc.sgeo import (_LAMBDA_DOMAIN, SweepConfig, _environment_slices,
-                             _slice_optimum, _step_slices, fit_initial_state,
-                             optimize_step, reconstruct_bracket)
+from lowdepthqc.sgeo import (_BINDINGS, _LAMBDA_DOMAIN, SweepConfig,
+                             _environment_slices, _slice_optimum, _step_slices,
+                             fit_initial_state, optimize_step,
+                             reconstruct_bracket)
 from lowdepthqc.simulator import (ShotConfig, ancilla_expectation_z,
                                   run_statevector, sample_from_expectation)
-
-BINDINGS = (0.0, math.pi, 2 * math.pi)
-
 
 def test_reconstruction_is_exact_along_every_parameter(rng):
     spec = AnsatzSpec(3, 2, Variant.CRY, Head.RY)
@@ -32,7 +30,7 @@ def test_reconstruction_is_exact_along_every_parameter(rng):
         sums = tuple(
             gterm_values(grid, prev,
                          build_ansatz(spec, bind_parameter(params, j, b)), mode)
-            for b in BINDINGS)
+            for b in _BINDINGS)
         for lam in rng.uniform(-math.pi, math.pi, 16):
             direct = -gterm_values(
                 grid, prev, build_ansatz(spec, bind_parameter(params, j, lam)),
@@ -154,7 +152,7 @@ def _whole_circuit(circuit):
 def _binding_slices(bracket):
     """Slice source that evaluates ``bracket(params)`` at each binding."""
     def slices(params, j):
-        return tuple(bracket(bind_parameter(params, j, b)) for b in BINDINGS)
+        return tuple(bracket(bind_parameter(params, j, b)) for b in _BINDINGS)
     return slices
 
 
@@ -222,7 +220,7 @@ def test_sampled_bracket_draws_as_the_whole_circuits_do(rng, nu):
     params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
     for j in range(spec.parameter_count):
         got = slices(params, j)
-        for b, s in zip(BINDINGS, got):
+        for b, s in zip(_BINDINGS, got):
             u_lam = build_ansatz(spec, bind_parameter(params, j, b))
             want = 0.0
             for (kind, direction), weight, count in zip(
