@@ -34,6 +34,14 @@ class Head(Enum):
     RY = "ry"            # controlled-RY head, adds one leading parameter
 
 
+def default_depth(n: int) -> int:
+    """The paper's depth for an ``n``-qubit register, 2n - 3 layers."""
+    if n < 2:
+        raise ValueError(f"the default depth 2n-3 needs n >= 2, got n={n}; "
+                         f"pass an explicit depth (-d)")
+    return 2 * n - 3
+
+
 @dataclass(frozen=True)
 class AnsatzSpec:
     n: int

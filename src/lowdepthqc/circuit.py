@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -152,6 +154,9 @@ class GateInstance:
         )
 
 
+_QUBITS = operator.attrgetter("qubits")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over ``width`` wires; immutable after construction."""
@@ -166,9 +171,14 @@ class Circuit:
             raise CircuitError(f"width must be >= 1, got {self.width}")
         if self.ancilla is not None and not 0 <= self.ancilla < self.width:
             raise CircuitError(f"ancilla index {self.ancilla} out of range")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for inst in self.gates:
-            inst.validate(self.width)
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        # one pass over every wire touched; the gate-by-gate check runs
+        # only when it fails, to name the first offender
+        touched = chain.from_iterable(map(_QUBITS, gates))
+        if not set(range(self.width)).issuperset(touched):
+            for inst in gates:
+                inst.validate(self.width)
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -28,10 +28,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .ansatz import AnsatzSpec, BaselineSpec, Head, Variant, ansatz_state, \
-    build_ansatz, build_baseline
+    build_ansatz, build_baseline, default_depth
 from .burgers import (MAX_GRID_QUBITS, BurgersGrid, FieldState,
                       bracket_oracle, classical_trajectory, infidelity,
                       initial_condition_gaussian)
@@ -75,7 +74,7 @@ class ExperimentConfig:
 
     @property
     def depth(self) -> int:
-        return self.d if self.d is not None else 2 * self.n - 3
+        return self.d if self.d is not None else default_depth(self.n)
 
     def grid(self) -> BurgersGrid:
         dx = 1 / (1 << self.n)
@@ -106,6 +105,7 @@ class RunRecord:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import yaml     # only a --config run pays for the import
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh) or {}
@@ -436,7 +436,7 @@ def cmd_gatecount(args) -> int:
     tables = _table_counts()
     rows = []
     for n in range(3, cfg.n_max + 1):
-        low = AnsatzSpec(n, 2 * n - 3, cfg.variant, cfg.head)
+        low = AnsatzSpec(n, default_depth(n), cfg.variant, cfg.head)
         base = BaselineSpec(n)
         rng = _substream(cfg.seed, f"gatecount-{n}")
         p_low = tuple(rng.uniform(-math.pi, math.pi, low.parameter_count))

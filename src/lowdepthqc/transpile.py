@@ -17,7 +17,13 @@ then flushes the pending products of both wires in the native 1-qubit
 basis, emits the native entangler and leaves its fixed post-dressings
 pending.  Dressings follow from CX = (RZ(pi/2) x RX(-pi/2)) RZX(pi/2) up
 to phase, with RZX(pi/2) obtained from ECR or RXX(pi/2) by Hadamard
-conjugations.
+conjugations.  What a native CX leaves pending is the same two products
+every time, kept once per target, and its entangler is one shared
+instance per wire pair and target.  A swap's first CNOT flushes both
+wires, so what its other two emit, and the products they leave pending
+(those of the first), depend on the wire pair alone: the walk lowers the
+first as any CNOT and extends its output by that pair's block of native
+gates, built once.
 
 Multi-controlled X expands through the clean-work-qubit chain (2k-3
 Toffolis for k controls) when the circuit carries enough work wires,
@@ -52,7 +58,13 @@ walk: ``simulator.gate_superop`` (a native 2-qubit gate with its
 channels) and ``simulator.run_superop`` (a 1-qubit run's fold), keyed on
 the noise model, the direction, the qubits, the kinds and the angles'
 bit patterns.  No key is rounded, so a table returns what the function
-computes; each function's ``cache_info()`` counts the traffic.
+computes; each function's ``cache_info()`` counts the traffic.  The
+tables of CX dressings and their pending products (one entry per
+target), of entanglers (per target and ordered wire pair) and of swap
+blocks (per ordered neighbor pair) are unbounded, as the wire pairs bound
+them; each is built on first use, so a run that never lowers holds none.
+A swap block's inner flushes are computed once, so ``emit_1q``'s
+traffic does not count them.
 """
 from __future__ import annotations
 
@@ -125,6 +137,39 @@ def _cx_dressings(target: BasisTarget):
     pre = np.kron(pre_c, pre_t if pre_t is not None else np.eye(2))
     post_c, post_t = _kron_factor(_CX_MATRIX @ pre.conj().T @ m2.conj().T)
     return pre_c, pre_t, post_c, post_t
+
+
+@functools.lru_cache(maxsize=None)
+def _post_products(target: BasisTarget) -> tuple[np.ndarray, np.ndarray]:
+    """The products (post_c @ I2, post_t @ I2) that pushing the
+    post-dressings onto two flushed wires forms: what every native CX
+    leaves pending on its control and target."""
+    _, _, post_c, post_t = _cx_dressings(target)
+    return post_c @ _I2, post_t @ _I2
+
+
+@functools.lru_cache(maxsize=None)
+def _entangler(pc: int, pt: int, target: BasisTarget) -> GateInstance:
+    """The native entangler of a CX from wire ``pc`` to wire ``pt``, one
+    shared instance per pair and target."""
+    if target is BasisTarget.SC:
+        return GateInstance(Gate.ECR, (), (pc, pt))
+    return GateInstance(Gate.RXX, (), (pc, pt), (math.pi / 2,))
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_block(pa: int, pb: int) -> tuple[GateInstance, ...]:
+    """The native gates of the last two of a neighbor swap's three CX on
+    SC, (pb, pa) then (pa, pb), after the first, (pa, pb), has flushed
+    both wires and left its post-dressings pending; they leave those
+    dressings pending again.  Each product is the one the walk forms."""
+    sc = BasisTarget.SC
+    pre_c, pre_t, _, _ = _cx_dressings(sc)
+    post_c, post_t = _post_products(sc)
+    return (*emit_1q(pb, pre_c @ post_t, sc), *emit_1q(pa, pre_t @ post_c, sc),
+            _entangler(pb, pa, sc),
+            *emit_1q(pa, pre_c @ post_t, sc), *emit_1q(pb, pre_t @ post_c, sc),
+            _entangler(pa, pb, sc))
 
 
 def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -211,6 +256,7 @@ class Lowering:
     def __init__(self, c: Circuit, target: BasisTarget):
         self.target = target
         self.dressings = _cx_dressings(target)
+        self.post = _post_products(target)
         self.work = list(c.metadata.get("work_qubits", []))
         self.pos = list(range(c.width))
         self.pending: dict[int, np.ndarray] = {}
@@ -245,18 +291,14 @@ class Lowering:
             self.out.extend(emit_1q(p, m, self.target))
 
     def _native_cx(self, pc: int, pt: int):
-        pre_c, pre_t, post_c, post_t = self.dressings
+        pre_c, pre_t, _, _ = self.dressings
         self._push(pc, pre_c)
         if pre_t is not None:
             self._push(pt, pre_t)
         self.flush(pc)
         self.flush(pt)
-        if self.target is BasisTarget.SC:
-            self.out.append(GateInstance(Gate.ECR, (), (pc, pt)))
-        else:
-            self.out.append(GateInstance(Gate.RXX, (), (pc, pt), (math.pi / 2,)))
-        self._push(pc, post_c)
-        self._push(pt, post_t)
+        self.out.append(_entangler(pc, pt, self.target))
+        self.pending[pc], self.pending[pt] = self.post
 
     def u(self, q: int, m: np.ndarray, tag: int | None = None):
         """Multiply ``m`` onto wire ``q``'s pending product; ``tag`` is the
@@ -274,8 +316,9 @@ class Lowering:
                 pa = pos[t]
                 pb = pa + (1 if pos[c] > pa else -1)
                 self._native_cx(pa, pb)
-                self._native_cx(pb, pa)
-                self._native_cx(pa, pb)
+                # the first CX settles both wires, so the other two emit a
+                # block fixed by the pair and leave the same products pending
+                self.out.extend(_swap_block(pa, pb))
                 la, lb = pos.index(pa), pos.index(pb)
                 pos[la], pos[lb] = pos[lb], pos[la]
         self._native_cx(pos[c], pos[t])

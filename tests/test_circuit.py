@@ -93,6 +93,17 @@ def test_instance_validation():
         Circuit(2, (GateInstance(Gate.H, (), (3,)),))
 
 
+@pytest.mark.parametrize("bad", [3, 7, -1])
+def test_first_gate_off_the_wires_is_named(bad):
+    valid = (GateInstance(Gate.H, (), (0,)), GateInstance(Gate.CNOT, (0,), (2,)),
+             GateInstance(Gate.RY, (), (1,), (0.3,)))
+    offenders = (GateInstance(Gate.CNOT, (1,), (bad,)),
+                 GateInstance(Gate.X, (), (-2,)))
+    with pytest.raises(CircuitError) as exc:
+        Circuit(3, valid + offenders)
+    assert str(exc.value) == f"cnot touches qubit {bad}, circuit width is 3"
+
+
 def test_mcx_cnot_control_normalization():
     mcx = GateInstance(Gate.MCX, (0, 1), (2,))
     assert mcx.with_controls((0,)).gate is Gate.CNOT

@@ -253,11 +253,21 @@ def test_run_json_counts_updates_and_circuits(tmp_path, shots, circuits,
     ["fit", "--fit-threshold", "nan"],
     ["fit", "--fit-threshold", "-1"],
     ["fit", "--fit-threshold", "inf"],
+    ["run", "-n", "1"],
 ])
 def test_bad_cli_input_exits_2_before_any_work(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_default_depth_needs_two_qubits(tmp_path, capsys):
+    """Without ``-d`` the depth is 2n - 3, which n = 1 cannot take; the
+    message names that rule, not a depth the user never gave."""
+    assert main(["run", "-n", "1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "default depth 2n-3 needs n >= 2" in err and "-d" in err
+    assert "d=-1" not in err
 
 
 @pytest.mark.parametrize("argv", [

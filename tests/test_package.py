@@ -5,9 +5,13 @@ A function, class or method whose name appears nowhere else in
 it says nothing about the path a run takes.  The few kept on purpose are
 independent references that tests and the benchmark compare the live
 code against; each is listed with its reason.  Likewise every gate kind
-is named by some module besides ``circuit.py``.
+is named by some module besides ``circuit.py``.  And importing the CLI
+loads and builds only what every command needs.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from lowdepthqc.circuit import Gate
@@ -94,3 +98,28 @@ def test_every_gate_kind_is_named_outside_circuit():
                 named.add(node.attr)
     unused = [g.name for g in Gate if g.name not in named]
     assert not unused, "gate kinds named only in circuit.py: " + ", ".join(unused)
+
+
+def _after_import_cli(expr: str) -> str:
+    """``expr`` evaluated in a fresh interpreter that has imported only
+    ``lowdepthqc.cli`` (which imports ``transpile`` itself)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys; import lowdepthqc.cli; "
+            f"from lowdepthqc import transpile; print({expr})")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    """Only ``--config`` reads YAML, so no other command pays its import."""
+    assert _after_import_cli("'yaml' in sys.modules") == "False"
+
+
+def test_importing_the_cli_builds_no_lowering_table():
+    """The CX dressings (an SVD) and the tables built from them are made on
+    a lowering's first use: a run that never lowers never holds them."""
+    tables = ("_cx_dressings", "_post_products", "_entangler", "_swap_block")
+    sizes = ", ".join(f"transpile.{t}.cache_info().currsize" for t in tables)
+    assert _after_import_cli(f"[{sizes}]") == str([0] * len(tables))

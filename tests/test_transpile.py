@@ -9,9 +9,10 @@ from lowdepthqc.circuit import (Circuit, CircuitError, Gate, GateInstance,
                                 target_matrix)
 from lowdepthqc.hadamard import GTermKind, build_gterm_circuit
 from lowdepthqc.simulator import run_statevector
-from lowdepthqc.transpile import (BasisTarget, _emit_1q, count_report,
-                                  decompose, emit_1q, equivalent_up_to_phase,
-                                  permuted_amps)
+from lowdepthqc import transpile
+from lowdepthqc.transpile import (BasisTarget, Lowering, _emit_1q,
+                                  count_report, decompose, emit_1q,
+                                  equivalent_up_to_phase, permuted_amps)
 
 from conftest import random_circuit
 
@@ -194,3 +195,85 @@ def test_emit_1q_returns_a_fresh_list_each_call(rng):
     assert a == b and a is not b
     a.clear()
     assert emit_1q(1, u, BasisTarget.SC) == b
+
+
+class GateByGate(Lowering):
+    """The walk with every CX lowered on its own: a neighbor swap as three
+    native CX, each pushing its dressings onto the pending products and
+    emitting a fresh entangler."""
+
+    def _native_cx(self, pc, pt):
+        pre_c, pre_t, post_c, post_t = self.dressings
+        self._push(pc, pre_c)
+        if pre_t is not None:
+            self._push(pt, pre_t)
+        self.flush(pc)
+        self.flush(pt)
+        if self.target is BasisTarget.SC:
+            self.out.append(GateInstance(Gate.ECR, (), (pc, pt)))
+        else:
+            self.out.append(GateInstance(Gate.RXX, (), (pc, pt), (math.pi / 2,)))
+        self._push(pc, post_c)
+        self._push(pt, post_t)
+
+    def cx(self, c, t):
+        pos = self.pos
+        if self.target is BasisTarget.SC:
+            while abs(pos[c] - pos[t]) > 1:
+                pa = pos[t]
+                pb = pa + (1 if pos[c] > pa else -1)
+                self._native_cx(pa, pb)
+                self._native_cx(pb, pa)
+                self._native_cx(pa, pb)
+                la, lb = pos.index(pa), pos.index(pb)
+                pos[la], pos[lb] = pos[lb], pos[la]
+        self._native_cx(pos[c], pos[t])
+
+
+def _bytes(products: dict) -> dict:
+    return {p: None if m is None else m.tobytes() for p, m in products.items()}
+
+
+def _routed_circuit(rng, width: int) -> Circuit:
+    """A rotation on every wire, then a CNOT across the whole chain, an MCX
+    whose controls sit at both ends and a CRY back across it."""
+    gates = [GateInstance(Gate.RY, (), (q,), (float(rng.uniform(-3, 3)),))
+             for q in range(width)]
+    gates += [GateInstance(Gate.CNOT, (0,), (width - 1,)),
+              GateInstance(Gate.MCX, (width - 1, 0, 2), (1,)),
+              GateInstance(Gate.CRY, (width - 2,), (0,),
+                           (float(rng.uniform(-3, 3)),))]
+    return Circuit(width, tuple(gates), metadata={"work_qubits": [3]})
+
+
+@pytest.mark.parametrize("width", [5, 6, 7, 8])
+def test_swap_block_matches_the_gate_by_gate_walk(rng, width, monkeypatch):
+    c = _routed_circuit(rng, width)
+    products = [_random_su2(rng) for _ in range(width)]
+    for target in BasisTarget:
+        walks = []
+        for kind in (Lowering, GateByGate):
+            walk = kind(c, target)
+            # as after a cut: every other wire's first flush goes to its lead
+            walk.leads = dict.fromkeys(range(0, width, 2))
+            for q, m in enumerate(products):
+                walk.u(q, m, tag=q)
+            walk.lower(c.gates[width:], width)
+            walks.append(walk)
+        live, ref = walks
+        assert live.out == ref.out
+        assert _exact(live.out) == _exact(ref.out)
+        assert (live.pos, live.tags) == (ref.pos, ref.tags)
+        assert _bytes(live.pending) == _bytes(ref.pending)
+        assert _bytes(live.leads) == _bytes(ref.leads)
+        for cut in (0, width, width + 1):
+            got = decompose(c, target, cut)
+            with monkeypatch.context() as m:
+                m.setattr(transpile, "Lowering", GateByGate)
+                want = decompose(c, target, cut)
+            assert got.gates == want.gates
+            assert _exact(got.gates) == _exact(want.gates)
+            assert got.metadata["final_positions"] == \
+                want.metadata["final_positions"]
+            assert _bytes(got.metadata.get("leads", {})) == \
+                _bytes(want.metadata.get("leads", {}))
