@@ -21,12 +21,13 @@ against the rows of ``family_targets``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import TABLE_SIZE, Circuit
 from .hadamard import (AdderSpec, EstimatorMode, GTermKind, adder_matrix,
                        apportion_shots, build_gterm_circuit)
 from .simulator import ancilla_expectation_z, run_statevector
@@ -206,12 +207,16 @@ def family_shots(grid: BurgersGrid, prev: FieldState,
     minimizes the bracket's shot-noise variance is proportional to the
     weight magnitudes, so ``5 * shots`` is apportioned that way and
     ``shots`` stays the mean per circuit.  ``None`` (no sampling) passes
-    through.
+    through.  The split is the same at every binding of a time step, so
+    a table of ``circuit.TABLE_SIZE`` entries keeps it under the total and
+    the weights.
     """
     if shots is None:
         return (None,) * len(FAMILIES)
-    return apportion_shots(len(FAMILIES) * shots,
-                           bracket_weights(grid, prev.lam))
+    return _shot_split(len(FAMILIES) * shots, bracket_weights(grid, prev.lam))
+
+
+_shot_split = functools.lru_cache(maxsize=TABLE_SIZE)(apportion_shots)
 
 
 def bracket_oracle(grid: BurgersGrid, prev: FieldState,

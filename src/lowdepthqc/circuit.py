@@ -192,16 +192,29 @@ def dagger(c: Circuit) -> Circuit:
     return c.with_gates(tuple(invert_gate(g) for g in reversed(c.gates)))
 
 
+_SELF_INVERSE = frozenset((Gate.H, Gate.X, Gate.CNOT, Gate.MCX, Gate.ECR,
+                           Gate.CU_ALT))
+
+
 def invert_gate(inst: GateInstance) -> GateInstance:
-    g = inst.gate
-    if g in (Gate.H, Gate.X, Gate.CNOT, Gate.MCX, Gate.ECR, Gate.CU_ALT):
+    if inst.gate in _SELF_INVERSE:
         return inst
-    if g in (Gate.RY, Gate.RZ, Gate.RXX, Gate.CRY):
-        return GateInstance(g, inst.controls, inst.targets, (-inst.params[0],))
-    if g is Gate.R:
-        theta, phi = inst.params
-        return GateInstance(g, inst.controls, inst.targets, (-theta, phi))
-    raise CircuitError(f"no inverse for {g.value}")
+    return GateInstance(inst.gate, inst.controls, inst.targets,
+                        inverse_params(inst.gate, inst.params))
+
+
+def inverse_params(gate: Gate, params: tuple[float, ...]) -> tuple[float, ...]:
+    """The angles at which ``gate`` undoes itself at ``params``: a rotation
+    angle negated (so a zero angle gives -0.0), R's phase kept, and a
+    self-inverse kind's angles as they are."""
+    if gate in _SELF_INVERSE:
+        return params
+    if gate in (Gate.RY, Gate.RZ, Gate.RXX, Gate.CRY):
+        return (-params[0],)
+    if gate is Gate.R:
+        theta, phi = params
+        return (-theta, phi)
+    raise CircuitError(f"no inverse for {gate.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +230,9 @@ _XX = np.kron(_PX, _PX)
 _ECR = (np.kron(_I2, _PX) - np.kron(_PX, _PY)) / math.sqrt(2)
 
 
-# bound on each memo table: here, in ``transpile.emit_1q`` and in
-# ``simulator.gate_superop`` and ``simulator.run_superop``
+# bound on each memo table: here, in ``transpile.emit_1q``, in
+# ``simulator.gate_superop``, ``simulator.run_superop`` and
+# ``simulator._permutations``, and in ``burgers.family_shots``
 TABLE_SIZE = 4096
 
 

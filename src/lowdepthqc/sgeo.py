@@ -26,8 +26,12 @@ coordinate's three slice values from a slice source.  There are two:
   Re<l_j|G_j(b) r_j>.  One backward pass per sweep stores every
   l_j = R_{>j}^dag t, and the forward pass carries r_j = R_{<j}|0>, so a
   coordinate costs a few 2^n-vector gate actions and inner products per
-  target, and no circuit is built or simulated (the environment trick of
-  NFT and Rotosolve);
+  target, and no circuit is simulated (the environment trick of NFT and
+  Rotosolve).  What does not move is planned once per source: the
+  register gate skeleton, each gate's qubits and the three binding
+  unitaries G_j(b) of each parameter.  The moving angles, which never
+  repeat, bind straight from ``circuit.target_matrix`` and are kept
+  nowhere;
 * coordinate environments in Liouville space
   (``_noisy_environment_slices``), for noisy modes: the bracket of the
   Hadamard tests of the weighted families, cut after U_lam, at each
@@ -75,7 +79,7 @@ from .ansatz import (AnsatzSpec, Head, ansatz_state, bind_parameter,
 from .burgers import (FAMILIES, BurgersGrid, FieldState,  # noqa: F401
                       estimate_bracket, family_targets, gterm_values,
                       infidelity, step_matrix, weighted_families)
-from .circuit import GateInstance, gate_unitary, invert_gate
+from .circuit import gate_unitary, inverse_params, target_matrix
 from .hadamard import EstimatorMode, NoisyEnvironments
 from .simulator import _apply_matrix
 
@@ -201,38 +205,53 @@ def _environment_slices(spec: AnsatzSpec, targets, bracket):
     environments on the register statevector.
 
     Parameter j drives register gate j + 1 behind the X head, gate j
-    behind the RY head.  At j = 0 a backward pass stores
-    l_j = R_{>j}^dag t for every j and row; each later call first applies
-    gate j - 1 at its updated angle to the forward carry r = R_{<j}|0>.
-    So ``_descend``'s order of calls is what keeps the carry valid.
+    behind the RY head.  The source's plan is built once: the register
+    gate skeleton, each parameter gate's kind and qubits, its three
+    binding unitaries, and the state after the head.  At j = 0 a backward
+    pass stores l_j = R_{>j}^dag t for every j and row; each later call
+    first applies gate j - 1 at its updated angle to the forward carry
+    r = R_{<j}|0>.  So ``_descend``'s order of calls is what keeps the
+    carry valid.  A moving angle binds straight from
+    ``circuit.target_matrix`` into a copy of its gate's identity frame,
+    the unitary ``circuit.gate_unitary`` builds, and is kept nowhere.
     """
     shape = [2] * spec.n
     offset = 1 if spec.head is Head.X else 0
-    gates, lefts, right = (), [], None
+    gates = register_circuit(build_ansatz(
+        spec, (0.0,) * spec.parameter_count)).gates
+    start = np.zeros(shape, dtype=complex)
+    start[(0,) * spec.n] = 1.0
+    for inst in gates[:offset]:
+        start = _apply_matrix(start, gate_unitary(inst), inst.qubits)
+    gates = gates[offset:]
+    kinds = [inst.gate for inst in gates]
+    qubits = [inst.qubits for inst in gates]
+    # every parameter's gate has one target, on the last 2x2 block
+    frames = [np.eye(2 << len(inst.controls), dtype=complex) for inst in gates]
 
-    def apply(tensor, inst):
-        return _apply_matrix(tensor, gate_unitary(inst), inst.qubits)
+    def bind(j, params):
+        u = frames[j].copy()
+        u[-2:, -2:] = target_matrix(kinds[j], params)
+        return u
 
-    def at(j, angle):
-        inst = gates[j + offset]
-        return GateInstance(inst.gate, inst.controls, inst.targets, (angle,))
+    bindings = [[bind(j, (b,)) for b in _BINDINGS] for j in range(len(gates))]
+    rows = list(np.asarray(targets, dtype=complex).reshape([-1] + shape))
+    lefts, right = [], None
 
     def slices(params, j):
-        nonlocal gates, lefts, right
+        nonlocal lefts, right
         if j == 0:
-            gates = register_circuit(build_ansatz(spec, params)).gates
-            lefts = [list(np.asarray(targets, dtype=complex).reshape([-1] + shape))]
-            for inst in reversed(gates[offset + 1:]):
-                mat, qubits = gate_unitary(invert_gate(inst)), inst.qubits
-                lefts.append([_apply_matrix(t, mat, qubits) for t in lefts[-1]])
+            lefts = [rows]
+            for k in range(len(gates) - 1, 0, -1):
+                mat = bind(k, inverse_params(kinds[k], (params[k],)))
+                lefts.append([_apply_matrix(t, mat, qubits[k])
+                              for t in lefts[-1]])
             lefts.reverse()
-            right = np.zeros(shape, dtype=complex)
-            right[(0,) * spec.n] = 1.0
-            for inst in gates[:offset]:
-                right = apply(right, inst)
+            right = start
         else:
-            right = apply(right, at(j - 1, params[j - 1]))
-        phis = (apply(right, at(j, b)) for b in _BINDINGS)
+            right = _apply_matrix(right, bind(j - 1, (params[j - 1],)),
+                                  qubits[j - 1])
+        phis = (_apply_matrix(right, u, qubits[j]) for u in bindings[j])
         return tuple(bracket([float(np.vdot(t, phi).real) for t in lefts[j]])
                      for phi in phis)
     return slices

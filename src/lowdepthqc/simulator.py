@@ -2,11 +2,12 @@
 
 One kernel applies every gate: ``_apply_matrix`` moves the gate's axes of
 a rank-(2,...,2) tensor to the front, does one matmul and moves them
-back.  The statevector path contracts each gate's full unitary over its
-qubits (``circuit.gate_unitary``, controls first, so a control acts through
-the block structure of that unitary); no 2^n matrix is ever built.  Qubit
-0 is the most significant bit of the amplitude index, matching numpy's
-C-order axis layout.
+back, with both permutations from a table keyed on the axes and the
+rank (``_permutations``).  The statevector path contracts each gate's
+full unitary over its qubits (``circuit.gate_unitary``, controls first,
+so a control acts through the block structure of that unitary); no 2^n
+matrix is ever built.  Qubit 0 is the most significant bit of the
+amplitude index, matching numpy's C-order axis layout.
 
 Density evolution contracts superoperators with the same kernel, in one
 walker with a direction (``_DensityWalk``).  Forward, ``run_density``
@@ -65,12 +66,21 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     order, first axis most significant); returns a C-contiguous tensor.
 
     A gate unitary acts on statevector axes, a superoperator on density
-    axes (rows, then columns).
+    axes (rows, then columns).  The axis permutation and its inverse come
+    from ``_permutations``.
     """
-    perm = list(axes) + [i for i in range(tensor.ndim) if i not in axes]
+    perm, inverse = _permutations(tuple(axes), tensor.ndim)
     flat = tensor.transpose(perm).reshape(mat.shape[1], -1)
     out = (mat @ flat).reshape(tensor.shape)
-    return np.ascontiguousarray(out.transpose(np.argsort(perm)))
+    return np.ascontiguousarray(out.transpose(inverse))
+
+
+@functools.lru_cache(maxsize=TABLE_SIZE)
+def _permutations(axes: tuple[int, ...], ndim: int):
+    """The permutation that brings ``axes`` to the front of ``ndim`` axes,
+    the rest keeping their order, and its inverse."""
+    perm = axes + tuple(i for i in range(ndim) if i not in axes)
+    return perm, tuple(sorted(range(ndim), key=perm.__getitem__))
 
 
 def run_statevector(c: Circuit) -> StateVector:

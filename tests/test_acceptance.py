@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from lowdepthqc.ansatz import AnsatzSpec, BaselineSpec, Head, Variant, \
-    ansatz_state, bind_parameter, build_ansatz, build_baseline
+    ansatz_state, bind_parameter, build_ansatz, build_baseline, default_depth
 from lowdepthqc.burgers import (BurgersGrid, FieldState, classical_step,
                                 gterm_values, initial_condition_gaussian,
                                 step_matrix)
@@ -151,7 +151,8 @@ def test_criterion_6_gate_counts():
     rng = np.random.default_rng(6)
     reports = {}
     for scheme, make in (("low_depth", lambda n: (
-                             AnsatzSpec(n, 2 * n - 3, Variant.CU_ALT, Head.RY),
+                             AnsatzSpec(n, default_depth(n), Variant.CU_ALT,
+                                        Head.RY),
                              build_ansatz, True)),
                          ("conventional", lambda n: (
                              BaselineSpec(n), build_baseline, False))):

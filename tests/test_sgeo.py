@@ -1,22 +1,25 @@
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from lowdepthqc import burgers, sgeo
 from lowdepthqc.ansatz import (AnsatzSpec, Head, Variant, ansatz_state,
-                               bind_parameter, build_ansatz)
+                               bind_parameter, build_ansatz, register_circuit)
 from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
                                 bracket_oracle, bracket_weights, family_shots,
                                 family_targets, gterm_values, infidelity,
                                 initial_condition_gaussian)
+from lowdepthqc.circuit import GateInstance, gate_unitary, invert_gate
 from lowdepthqc.hadamard import EstimatorMode, build_gterm_circuit
 from lowdepthqc.sgeo import (_BINDINGS, _LAMBDA_DOMAIN, SweepConfig,
                              _environment_slices, _slice_optimum, _step_slices,
                              fit_initial_state, optimize_step,
                              reconstruct_bracket)
-from lowdepthqc.simulator import (ShotConfig, ancilla_expectation_z,
-                                  run_statevector, sample_from_expectation)
+from lowdepthqc.simulator import (ShotConfig, _apply_matrix,
+                                  ancilla_expectation_z, run_statevector,
+                                  sample_from_expectation)
 
 def test_reconstruction_is_exact_along_every_parameter(rng):
     spec = AnsatzSpec(3, 2, Variant.CRY, Head.RY)
@@ -261,3 +264,100 @@ def test_exact_mode_builds_no_hadamard_test_circuit(monkeypatch):
     res = optimize_step(grid, prev, spec, fit.params, sampled)
     assert len(res.trace) == 2 * spec.parameter_count
     assert sampled.mode.circuits == 2 * 3 * 5 * spec.parameter_count
+
+
+def _reference_slices(spec, targets, bracket):
+    """``_environment_slices`` binding each coordinate gate by gate: every
+    sweep rebuilds the register circuit at its angles, and every action
+    builds an instance and its ``gate_unitary``."""
+    shape = [2] * spec.n
+    offset = 1 if spec.head is Head.X else 0
+    gates, lefts, right = (), [], None
+
+    def apply(tensor, inst):
+        return _apply_matrix(tensor, gate_unitary(inst), inst.qubits)
+
+    def at(j, angle):
+        inst = gates[j + offset]
+        return GateInstance(inst.gate, inst.controls, inst.targets, (angle,))
+
+    def slices(params, j):
+        nonlocal gates, lefts, right
+        if j == 0:
+            gates = register_circuit(build_ansatz(spec, params)).gates
+            lefts = [list(np.asarray(targets, dtype=complex)
+                          .reshape([-1] + shape))]
+            for inst in reversed(gates[offset + 1:]):
+                lefts.append([apply(t, invert_gate(inst)) for t in lefts[-1]])
+            lefts.reverse()
+            right = np.zeros(shape, dtype=complex)
+            right[(0,) * spec.n] = 1.0
+            for inst in gates[:offset]:
+                right = apply(right, inst)
+        else:
+            right = apply(right, at(j - 1, params[j - 1]))
+        phis = (apply(right, at(j, b)) for b in _BINDINGS)
+        return tuple(bracket([float(np.vdot(t, phi).real) for t in lefts[j]])
+                     for phi in phis)
+    return slices
+
+
+def _sweeps(spec, slices, params, rng, sweeps):
+    """Every slice of ``sweeps`` sweeps, each coordinate moving to a
+    random angle after its slice is taken."""
+    got = []
+    for _ in range(sweeps):
+        for j in range(spec.parameter_count):
+            got.append(slices(params, j))
+            params = bind_parameter(params, j, rng.uniform(-math.pi, math.pi))
+    return got
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("head", list(Head))
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_environment_slices_equal_the_gate_by_gate_binding(n, variant, head,
+                                                           rows, rng):
+    """The plan's slices are bit for bit those of binding every gate action
+    afresh, over two sweeps that move every coordinate, from zero angles
+    (whose inverses bind at -0.0) and from random ones."""
+    spec = AnsatzSpec(n, 2, variant, head)
+    targets = rng.normal(size=(rows, 1 << n))
+    bracket = tuple if rows > 1 else itemgetter(0)
+    for params in ((0.0,) * spec.parameter_count,
+                   tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))):
+        seed = int(rng.integers(1 << 30))
+        got = _sweeps(spec, _environment_slices(spec, targets, bracket),
+                      params, np.random.default_rng(seed), 2)
+        want = _sweeps(spec, _reference_slices(spec, targets, bracket),
+                       params, np.random.default_rng(seed), 2)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert got == want
+
+
+def test_a_slice_source_builds_its_plan_once(monkeypatch, rng):
+    """Over 1 and over 4 sweeps, a slice source builds the ansatz and its
+    register circuit once, and constructs as many gate instances."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("build_ansatz", "register_circuit"):
+        monkeypatch.setattr(sgeo, name, counting(name, getattr(sgeo, name)))
+    monkeypatch.setattr(GateInstance, "__post_init__",
+                        counting("instances", GateInstance.__post_init__))
+    spec = AnsatzSpec(3, 2, Variant.CRY, Head.X)
+    target = [rng.normal(size=8)]
+    instances = []
+    for sweeps in (1, 4):
+        calls.update(build_ansatz=0, register_circuit=0, instances=0)
+        slices = _environment_slices(spec, target, itemgetter(0))
+        _sweeps(spec, slices, (0.1,) * spec.parameter_count, rng, sweeps)
+        assert calls["build_ansatz"] == calls["register_circuit"] == 1
+        instances.append(calls["instances"])
+    assert instances[0] == instances[1]

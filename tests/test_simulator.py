@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lowdepthqc.circuit import Circuit, CircuitError, Gate, GateInstance
-from lowdepthqc.simulator import (DENSITY_QUBIT_CAP, ShotConfig,
+from lowdepthqc.simulator import (DENSITY_QUBIT_CAP, ShotConfig, _apply_matrix,
                                   ancilla_expectation_z, run_density,
                                   run_statevector, sample_from_expectation)
 
@@ -80,3 +80,28 @@ def test_sampling_is_seed_deterministic():
 def test_sampling_extremes_are_exact():
     assert _draw(1.0, 100, 0) == 1.0
     assert _draw(-1.0, 100, 0) == -1.0
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_apply_matrix_equals_the_argsort_formula(rng, stack):
+    """The kernel's permutation table moves the axes as the formula with a
+    fresh permutation and ``np.argsort`` does, so the result is bit for
+    bit the same, with and without a trailing stack axis."""
+    for ndim in range(1, 11):
+        for _ in range(4):
+            width = ndim - stack
+            if width < 1:
+                continue
+            k = int(rng.integers(1, min(width, 3) + 1))
+            axes = [int(a) for a in rng.choice(width, size=k, replace=False)]
+            shape = [2] * width + [3] * stack
+            tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            mat = (rng.normal(size=(1 << k, 1 << k))
+                   + 1j * rng.normal(size=(1 << k, 1 << k)))
+            perm = axes + [i for i in range(ndim) if i not in axes]
+            flat = tensor.transpose(perm).reshape(mat.shape[1], -1)
+            want = np.ascontiguousarray(
+                (mat @ flat).reshape(tensor.shape).transpose(np.argsort(perm)))
+            got = _apply_matrix(tensor, mat, axes)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
