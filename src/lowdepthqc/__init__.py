@@ -5,7 +5,7 @@ from .ansatz import (AnsatzSpec, BaselineSpec, Head, Variant, ansatz_state,
 from .burgers import (FAMILIES, BurgersGrid, FieldState, bracket_oracle,
                       bracket_weights, classical_step, classical_trajectory,
                       estimate_bracket, family_targets, gterm_values,
-                      infidelity, initial_condition_gaussian, step_matrix)
+                      infidelity, initial_condition_gaussian, step_target)
 from .circuit import (Circuit, CircuitError, CircuitSyntaxError, Gate,
                       GateInstance, dagger, gate_unitary, parse_circuit,
                       serialize_circuit)

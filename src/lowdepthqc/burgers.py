@@ -2,22 +2,21 @@
 
 The velocity field u is carried as u = Lambda * psi with psi a normalized
 (real) state of n qubits.  One explicit-Euler step with central
-differences is the matrix
+differences is
 
-    u' = [Lambda + l1 (A + A^dag - 2 I) - l2 D (A - A^dag)] psi,
+    u' = [Lambda + l1 (A + A^dag - 2 I) - l2 D (A - A^dag)] psi
+       = sum_f w_f M_f^dag psi   (``step_target``),
 
 where A is the cyclic shift with (A psi)_k = psi_{k+1}, D = diag(psi),
-l1 = Lambda*tau*nu / (2 dx^2) and l2 = Lambda^2*tau / (2 dx).  The
-variational step minimizes the negated squared projection of that target
-onto the ansatz state, C(lambda) = -S^2, where the bracket
-
-    S = sum_f w_f <Z>_f
-
-runs over the five Hadamard-test ``FAMILIES`` (overlap, shift+/-,
-shift_diag+/-) with the signed weights of ``bracket_weights``.  The
-signed bracket at the optimum is the next Lambda.  ``estimate_bracket``
-draws S from the families' exact values, which a noiseless run reads
-against the rows of ``family_targets``.
+l1 = Lambda*tau*nu / (2 dx^2), l2 = Lambda^2*tau / (2 dx), and f runs
+over the five Hadamard-test ``FAMILIES`` (overlap, shift+/-,
+shift_diag+/-) with the signed weights w_f of ``bracket_weights`` and
+the rows M_f^dag psi of ``family_targets``.  The variational step
+minimizes the negated squared projection of that target onto the ansatz
+state, C(lambda) = -S^2, where the bracket S = sum_f w_f <Z>_f reads
+each family's test.  The signed bracket at the optimum is the next
+Lambda.  ``estimate_bracket`` draws S from the families' exact values,
+which a noiseless run reads against the rows of ``family_targets``.
 """
 from __future__ import annotations
 
@@ -28,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import TABLE_SIZE, Circuit
-from .hadamard import (AdderSpec, EstimatorMode, GTermKind, adder_matrix,
-                       apportion_shots, build_gterm_circuit)
+from .hadamard import (EstimatorMode, GTermKind, apportion_shots,
+                       build_gterm_circuit)
 from .simulator import ancilla_expectation_z, run_statevector
 
 
 # An exact run's coordinate environments hold (d n + 2) 2^n complex128
 # values, under 0.5 GB at n = 16 with the default depth d = 2n - 3; a
-# sampled run holds five times that.
+# sampled run holds five times that, and no noiseless run holds 4^n.
 MAX_GRID_QUBITS = 16
 
 
@@ -114,7 +113,8 @@ def initial_condition_gaussian(grid: BurgersGrid, sigma: float) -> FieldState:
 
 
 def classical_step(grid: BurgersGrid, u: np.ndarray) -> np.ndarray:
-    """Pointwise explicit-Euler update of the raw velocity vector."""
+    """Pointwise explicit-Euler update of the raw velocity vector, the
+    classical reference that ``step_target`` is checked against."""
     u = np.asarray(u, dtype=float)
     up = np.roll(u, -1)   # u_{k+1}
     um = np.roll(u, 1)    # u_{k-1}
@@ -122,17 +122,6 @@ def classical_step(grid: BurgersGrid, u: np.ndarray) -> np.ndarray:
     diffusion = grid.tau * grid.nu * (up + um - 2 * u) / (2 * dx * dx)
     advection = grid.tau * u * (up - um) / (2 * dx)
     return u + diffusion - advection
-
-
-def step_matrix(grid: BurgersGrid, state: FieldState) -> np.ndarray:
-    """Dense update operator; classical_step(u) == step_matrix @ psi."""
-    dim = grid.points
-    ap = adder_matrix(AdderSpec(grid.n, "plus"))
-    am = ap.T
-    _, l1, _, l2, _ = bracket_weights(grid, state.lam)
-    d = np.diag(state.psi)
-    return (state.lam * np.eye(dim) + l1 * (ap + am - 2 * np.eye(dim))
-            - l2 * d @ (ap - am))
 
 
 def classical_trajectory(grid: BurgersGrid, u0: np.ndarray,
@@ -155,6 +144,13 @@ def family_targets(psi: np.ndarray) -> np.ndarray:
     D A^dag psi and D A psi, with D = diag(psi)."""
     after, before = np.roll(psi, 1), np.roll(psi, -1)
     return np.array([psi, after, before, psi * after, psi * before])
+
+
+def step_target(grid: BurgersGrid, state: FieldState) -> np.ndarray:
+    """The explicit-Euler update of u = Lambda psi, as the weighted sum
+    sum_f w_f M_f^dag psi of the ``FAMILIES``' rows: overlap, shift+/-
+    and shift_diag+/-, with the weights of ``bracket_weights``."""
+    return bracket_weights(grid, state.lam) @ family_targets(state.psi)
 
 
 def estimate_bracket(grid: BurgersGrid, prev: FieldState, values,
@@ -221,9 +217,8 @@ _shot_split = functools.lru_cache(maxsize=TABLE_SIZE)(apportion_shots)
 
 def bracket_oracle(grid: BurgersGrid, prev: FieldState,
                    psi_lam: np.ndarray) -> float:
-    """Dense-matrix value of the bracket: Re <psi_lam| M |psi_t>."""
-    target = step_matrix(grid, prev) @ prev.psi
-    return float(np.real(np.vdot(psi_lam, target)))
+    """The noiseless bracket Re<psi_lam|step_target>."""
+    return float(np.real(np.vdot(psi_lam, step_target(grid, prev))))
 
 
 def infidelity(psi_opt: np.ndarray, psi_classical: np.ndarray) -> float:

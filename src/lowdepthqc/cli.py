@@ -405,6 +405,8 @@ def _emit_dynamics(cfg: ExperimentConfig, grid, classical, series, traces,
 def cmd_run(args) -> int:
     tables = _table_counts()
     cfg = _build_config(args)
+    if cfg.profile or cfg.profile_csv:
+        raise ConfigError("run is noiseless; a noise profile needs noisy-run")
     mode = _estimator(cfg, "run")
     parts = _run_dynamics(cfg, mode, tables)
     rec = _emit_dynamics(cfg, *parts, label="burgers_run")

@@ -18,10 +18,10 @@ coordinate's three slice values from a slice source.  There are two:
 
 * coordinate environments (``_environment_slices``), for noiseless
   modes: a bracket of Re<t|psi(lambda)> over known 2^n targets t.  The
-  fit and exact steps take one target, the profile or
-  ``step_matrix(grid, prev) @ prev.psi``; sampled steps take the five
-  family rows M_f^dag psi_t (``burgers.family_targets``) and draw their
-  shots (``burgers.estimate_bracket``).  The ansatz is one gate per
+  fit and exact steps take one target, the profile or the Euler update
+  ``burgers.step_target``; sampled steps take the five family rows
+  M_f^dag psi_t (``burgers.family_targets``) that it sums, and draw
+  their shots (``burgers.estimate_bracket``).  The ansatz is one gate per
   parameter, psi = R_{>j} G_j(lambda_j) R_{<j}|0>, so a slice value is
   Re<l_j|G_j(b) r_j>.  One backward pass per sweep stores every
   l_j = R_{>j}^dag t, and the forward pass carries r_j = R_{<j}|0>, so a
@@ -30,8 +30,8 @@ coordinate's three slice values from a slice source.  There are two:
   Rotosolve).  What does not move is planned once per source: the
   register gate skeleton, each gate's qubits and the three binding
   unitaries G_j(b) of each parameter.  The moving angles, which never
-  repeat, bind straight from ``circuit.target_matrix`` and are kept
-  nowhere;
+  repeat, bind straight from the table-free ``circuit._target_matrix``
+  and are kept nowhere;
 * coordinate environments in Liouville space
   (``_noisy_environment_slices``), for noisy modes: the bracket of the
   Hadamard tests of the weighted families, cut after U_lam, at each
@@ -78,8 +78,8 @@ from .ansatz import (AnsatzSpec, Head, ansatz_state, bind_parameter,
                      build_ansatz, register_circuit)
 from .burgers import (FAMILIES, BurgersGrid, FieldState,  # noqa: F401
                       estimate_bracket, family_targets, gterm_values,
-                      infidelity, step_matrix, weighted_families)
-from .circuit import gate_unitary, inverse_params, target_matrix
+                      infidelity, step_target, weighted_families)
+from .circuit import _target_matrix, gate_unitary, inverse_params
 from .hadamard import EstimatorMode, NoisyEnvironments
 from .simulator import _apply_matrix
 
@@ -149,14 +149,14 @@ def _slice_optimum(sums: tuple[float, float, float],
     S^2, or sign * S with ``sign``, which keeps the bracket on that
     sign's branch.  Either way the returned cost is -S^2.
     """
-    _, b, c = _slice_coeffs(sums)
+    a, b, c = _slice_coeffs(sums)
     peak = 2 * math.atan2(c, b)
     lo, hi = _LAMBDA_DOMAIN
     candidates = [lam for lam in (peak - 2 * math.pi, peak, peak + 2 * math.pi)
                   if lo <= lam <= hi] + [lo, hi]
 
     def objective(lam: float) -> float:
-        s = reconstruct_bracket(sums, lam)
+        s = a + b * math.cos(lam / 2) + c * math.sin(lam / 2)
         return s * s if sign is None else sign * s
 
     best = max(candidates, key=objective)
@@ -211,8 +211,8 @@ def _environment_slices(spec: AnsatzSpec, targets, bracket):
     pass stores l_j = R_{>j}^dag t for every j and row; each later call
     first applies gate j - 1 at its updated angle to the forward carry
     r = R_{<j}|0>.  So ``_descend``'s order of calls is what keeps the
-    carry valid.  A moving angle binds straight from
-    ``circuit.target_matrix`` into a copy of its gate's identity frame,
+    carry valid.  Every angle binds straight from the table-free
+    ``circuit._target_matrix`` into a copy of its gate's identity frame,
     the unitary ``circuit.gate_unitary`` builds, and is kept nowhere.
     """
     shape = [2] * spec.n
@@ -231,7 +231,7 @@ def _environment_slices(spec: AnsatzSpec, targets, bracket):
 
     def bind(j, params):
         u = frames[j].copy()
-        u[-2:, -2:] = target_matrix(kinds[j], params)
+        u[-2:, -2:] = _target_matrix(kinds[j], params)
         return u
 
     bindings = [[bind(j, (b,)) for b in _BINDINGS] for j in range(len(gates))]
@@ -293,7 +293,7 @@ def _step_slices(grid: BurgersGrid, prev: FieldState, spec: AnsatzSpec,
             spec, family_targets(prev.psi), lambda values: estimate_bracket(
                 grid, prev, dict(zip(FAMILIES, values)), mode))
     return _environment_slices(
-        spec, [step_matrix(grid, prev) @ prev.psi], itemgetter(0))
+        spec, [step_target(grid, prev)], itemgetter(0))
 
 
 def _best_of_last(iterates: list[tuple[tuple[float, ...], float]]):
@@ -348,12 +348,13 @@ def fit_initial_state(target: np.ndarray, spec: AnsatzSpec,
 
     rng = np.random.default_rng(seed)
     best: FitResult | None = None
+    # each descent starts at j = 0, which resets the source's carries
+    slices = _environment_slices(spec, [target], itemgetter(0))
     for attempt in range(_FIT_RESTARTS):
         if attempt == 0:
             params = tuple(0.0 for _ in range(spec.parameter_count))
         else:
             params = tuple(rng.uniform(-math.pi, math.pi, spec.parameter_count))
-        slices = _environment_slices(spec, [target], itemgetter(0))
         iterates, _ = _descend(params, slices, SweepConfig(sweeps=40))
         params = iterates[-1][0]
         err = infidelity(ansatz_state(spec, params), target)

@@ -10,7 +10,7 @@ from lowdepthqc.burgers import (FAMILIES, BurgersGrid, FieldState,
                                 bracket_oracle, bracket_weights,
                                 classical_step, classical_trajectory,
                                 family_shots, gterm_values, infidelity,
-                                initial_condition_gaussian, step_matrix)
+                                initial_condition_gaussian, step_target)
 from lowdepthqc.hadamard import (AdderSpec, EstimatorMode, GTermKind,
                                  adder_matrix, build_gterm_circuit,
                                  noisy_expectation)
@@ -48,7 +48,8 @@ def test_gaussian_initial_condition():
 
 
 def test_classical_step_matches_matrix_form(rng):
-    # pointwise update == dense matrix applied to psi, 100 random fields
+    # pointwise update == the weighted family rows sum_f w_f M_f^dag psi,
+    # 100 random fields
     for trial in range(100):
         n = int(rng.integers(2, 6))
         g = BurgersGrid(n, float(rng.uniform(0.001, 0.05)),
@@ -58,8 +59,16 @@ def test_classical_step_matches_matrix_form(rng):
         lam = float(np.linalg.norm(u))
         state = FieldState(lam, u / lam)
         direct = classical_step(g, u)
-        via_matrix = step_matrix(g, state) @ state.psi
-        assert np.max(np.abs(direct - via_matrix)) <= 1e-12
+        assert np.max(np.abs(direct - step_target(g, state))) <= 1e-12
+    # n = 1, where A = A^dag and advection vanishes, and n = 16 at the
+    # CLI's default tau = dx / 10, where a dense operator has 4^16 entries
+    for n in (1, 16):
+        g = BurgersGrid(n, 2.0 ** -n / 10, 1e-3)
+        u = rng.normal(size=g.points)
+        lam = float(np.linalg.norm(u))
+        direct = classical_step(g, u)
+        got = step_target(g, FieldState(lam, u / lam))
+        assert np.max(np.abs(direct - got)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_classical_trajectory_shape_and_diffusion():
@@ -94,8 +103,8 @@ def test_cost_coefficients(rng):
     l2 = 4.0 * g.tau / (2 * dx)
     assert bracket_weights(g, 2.0) == pytest.approx(
         (2.0 - 2 * l1, l1, l1, l2, -l2))
-    # the weighted families make up the step operator: family f measures
-    # Re<psi_t| M_f |psi_lam>, so step_matrix = sum_f w_f M_f^T
+    # the weighted families make up the step: family f measures
+    # Re<psi_t| M_f |psi_lam>, so step_target = sum_f w_f M_f^T psi_t
     psi = rng.normal(size=g.points)
     state = FieldState(2.0, psi / np.linalg.norm(psi))
     total = np.zeros((g.points, g.points))
@@ -106,7 +115,7 @@ def test_cost_coefficients(rng):
         if kind is GTermKind.SHIFT_DIAG:
             m = m @ np.diag(state.psi)
         total += w * m.T
-    assert np.allclose(total, step_matrix(g, state), atol=1e-12)
+    assert np.allclose(total @ state.psi, step_target(g, state), atol=1e-12)
 
 
 def test_infidelity_bounds():

@@ -158,7 +158,9 @@ def test_bad_config_exits_2(tmp_path):
                  "snapshots: 0.5\n", "tol: 1e-3\n", "a: 0.0\n", "b: 2.0\n",
                  "fit_restarts: 4\n", "nu: .nan\n", "tau: .inf\n",
                  "sigma: .nan\n", "fit_threshold: .nan\n",
-                 "fit_threshold: -1\n", "fit_threshold: .inf\n"):
+                 "fit_threshold: -1\n", "fit_threshold: .inf\n",
+                 # run is noiseless; a noise profile needs noisy-run
+                 "profile: aqt-ibex\n", "profile_csv: cal.csv\n"):
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 2, text
     assert main(["noisy-run", "-n", "2", "-d", "1",

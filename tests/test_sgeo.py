@@ -338,7 +338,8 @@ def test_environment_slices_equal_the_gate_by_gate_binding(n, variant, head,
 
 def test_a_slice_source_builds_its_plan_once(monkeypatch, rng):
     """Over 1 and over 4 sweeps, a slice source builds the ansatz and its
-    register circuit once, and constructs as many gate instances."""
+    register circuit once, and constructs as many gate instances; a fit
+    builds one source for all its restarts."""
     calls = {}
 
     def counting(name, fn):
@@ -361,3 +362,11 @@ def test_a_slice_source_builds_its_plan_once(monkeypatch, rng):
         assert calls["build_ansatz"] == calls["register_circuit"] == 1
         instances.append(calls["instances"])
     assert instances[0] == instances[1]
+
+    calls.update(build_ansatz=0, register_circuit=0, descents=0)
+    monkeypatch.setattr(sgeo, "_descend", counting("descents", sgeo._descend))
+    # no fit reaches a negative threshold, so every restart runs
+    fit = fit_initial_state(rng.normal(size=8), spec, threshold=-1.0)
+    assert not fit.reached_threshold
+    assert calls["descents"] == sgeo._FIT_RESTARTS
+    assert calls["build_ansatz"] == calls["register_circuit"] == 1
